@@ -14,7 +14,7 @@
 //                     per-group tree cache plus the shared-link queues.
 //
 // Each scenario runs batched (default) and unbatched
-// (Network::set_batching(false), same as LBRM_SIM_NO_BATCH), and reports
+// (Network::set_batching(false)), and reports
 // delivered data-packets per wall-second plus heap-scheduled events per
 // delivered packet.  Tail drop-tail is disabled so both runs deliver the
 // identical packet set and the comparison is pure event-queue cost.

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "bench/bench_util.hpp"
+#include "common/fnv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "sim/loss_model.hpp"
@@ -36,21 +37,6 @@ namespace {
 using namespace lbrm;
 using namespace lbrm::bench;
 using namespace lbrm::sim;
-
-struct Fnv1a {
-    std::uint64_t h = 14695981039346656037ULL;
-    void feed(const void* data, std::size_t n) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ULL;
-        }
-    }
-    template <typename T>
-    void feed_value(T v) {
-        feed(&v, sizeof v);
-    }
-};
 
 ScenarioConfig health_config() {
     ScenarioConfig config;

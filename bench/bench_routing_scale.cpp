@@ -1,35 +1,23 @@
 // Routing-scale bench (perf trajectory, not a paper artifact).
 //
 // Measures the million-node scenario engine (DESIGN.md "Scale
-// engineering"): hierarchical site/backbone routing tables versus the flat
-// O(n^2) next-hop matrices, the serial/parallel/lazy finalize modes, and a
-// full protocol run -- sender, loggers, a receiver core per host, real
-// multicast traffic -- at a million nodes under the constant-memory
-// CountingObserver.
+// engineering"): the hierarchical site/backbone routing tables, and a full
+// protocol run -- sender, loggers, a receiver core per host, real multicast
+// traffic -- at a million nodes under the constant-memory CountingObserver.
 //
 // Scenarios:
 //
 //   routing_100k   -- 1,000 sites x 97 receivers (~100k nodes).  Builds the
 //                     hierarchical tables and reports finalize() wall time,
-//                     routing-table bytes, bytes per node and peak RSS.  The
-//                     flat matrices at this size would need n^2 x 12 bytes
-//                     (~120 GB), so their footprint is computed analytically
-//                     and reported as the ratio -- the acceptance criterion
-//                     is >= 10x; the real number is ~500x.
-//   finalize_modes -- the same topology finalized serially, in parallel and
-//                     lazily; wall seconds, rows materialised and table
-//                     bytes per mode, plus the best-mode speedup.
-//   modes_hash_ab  -- at the A/B size, all three modes must produce the
-//                     same routing_table_hash() (bit-identical tables).
-//   routing_ab     -- a size both schemes can actually run (~10k nodes):
-//                     finalize() wall time and table bytes for each, plus a
-//                     multicast sanity check that both deliver the same
-//                     packet count.
+//                     routing-table bytes (border rows + backbone: interior
+//                     rows are built on first touch), bytes per node and
+//                     peak RSS.  Flat all-pairs matrices at this size would
+//                     need n^2 x 12 bytes (~120 GB), so that footprint is
+//                     computed analytically and reported as the ratio.
 //   full_protocol  -- 2,000 sites x 499 receivers (>= 1M nodes) wired as a
-//                     complete DisScenario (lazy finalize, CountingObserver),
-//                     driven with real sends + protocol timers; reports
-//                     build/traffic seconds, deliveries, peak RSS and
-//                     RSS bytes per node.
+//                     complete DisScenario (CountingObserver), driven with
+//                     real sends + protocol timers; reports build/traffic
+//                     seconds, deliveries, peak RSS and RSS bytes per node.
 //
 // The headline finalize additionally runs under a TraceRecorder and exports
 // Chrome trace_event JSON (--trace PATH, open in chrome://tracing or
@@ -41,14 +29,13 @@
 // Usage:
 //   bench_routing_scale [--json PATH] [--timestamp ISO8601] [--trace PATH]
 //                       [--repeat N] [--sites N] [--receivers N]
-//                       [--ab-sites N] [--ab-receivers N]
 //                       [--full-sites N] [--full-receivers N] [--skip-full]
 //                       [--full-only] [--full-name NAME]
 //                       [--full-dormant 0|1] [--active-per-site N]
 //
-// --repeat N reruns each finalize measurement N times and reports the
+// --repeat N reruns the finalize measurement N times and reports the
 // minimum (the least noisy estimator for wall time on a shared machine).
-// --full-only skips the routing phases and runs just the full-protocol
+// --full-only skips the routing phase and runs just the full-protocol
 // scenario -- with --full-sites/--full-receivers/--active-per-site this is
 // how the 10M-node memory-diet run is recorded (see BENCH_simcore.json).
 #include <chrono>
@@ -89,12 +76,9 @@ struct BuildStats {
 
 /// Build the topology, finalize, and fire one site-scoped + one global
 /// multicast so the path and tree machinery is exercised, not just built.
-BuildStats run_build(bool flat, std::uint32_t sites, std::uint32_t receivers,
-                     bool send_traffic) {
+BuildStats run_build(std::uint32_t sites, std::uint32_t receivers) {
     Simulator simulator;
-    SimConfig config;
-    config.flat_routes = flat;
-    Network net{simulator, 42, config};
+    Network net{simulator, 42};
     const DisTopology topo = make_dis_topology(net, scale_spec(sites, receivers));
 
     const auto start = std::chrono::steady_clock::now();
@@ -105,65 +89,20 @@ BuildStats run_build(bool flat, std::uint32_t sites, std::uint32_t receivers,
     out.nodes = net.node_count();
     out.table_bytes = net.routing_table_bytes();
 
-    if (send_traffic) {
-        const GroupId group{1};
-        for (NodeId r : topo.all_receivers()) net.join(group, r);
-        std::uint32_t seq = 0;
-        for (McastScope scope : {McastScope::kGlobal, McastScope::kSite})
-            net.multicast(topo.source,
-                          Packet{Header{group, topo.source, topo.source},
-                                 DataBody{SeqNum{++seq}, EpochId{0},
-                                          std::vector<std::uint8_t>(64, 0xEE)}},
-                          scope);
-        simulator.run_for(secs(5.0));
-        for (const auto& site : topo.sites)
-            for (NodeId r : site.receivers)
-                out.delivered +=
-                    net.link(site.router, r)->stats().packets_of(PacketType::kData);
-    }
+    const GroupId group{1};
+    for (NodeId r : topo.all_receivers()) net.join(group, r);
+    std::uint32_t seq = 0;
+    for (McastScope scope : {McastScope::kGlobal, McastScope::kSite})
+        net.multicast(topo.source,
+                      Packet{Header{group, topo.source, topo.source},
+                             DataBody{SeqNum{++seq}, EpochId{0},
+                                      std::vector<std::uint8_t>(64, 0xEE)}},
+                      scope);
+    simulator.run_for(secs(5.0));
+    for (const auto& site : topo.sites)
+        for (NodeId r : site.receivers)
+            out.delivered += net.link(site.router, r)->stats().packets_of(PacketType::kData);
     return out;
-}
-
-struct ModeStats {
-    double finalize_seconds = 0.0;
-    std::size_t nodes = 0;
-    std::size_t rows_built = 0;
-    std::size_t table_bytes = 0;
-};
-
-/// Finalize the topology under one build mode; no traffic, so lazy pays
-/// only for border rows + backbone (its actual finalize cost).
-ModeStats run_mode(SimFinalizeMode mode, unsigned threads, std::uint32_t sites,
-                   std::uint32_t receivers) {
-    Simulator simulator;
-    SimConfig config;
-    config.finalize_mode = mode;
-    config.finalize_threads = threads;
-    Network net{simulator, 42, config};
-    make_dis_topology(net, scale_spec(sites, receivers));
-
-    const auto start = std::chrono::steady_clock::now();
-    net.finalize();
-
-    ModeStats out;
-    out.finalize_seconds = now_seconds_since(start);
-    out.nodes = net.node_count();
-    out.rows_built = net.site_rows_built();
-    out.table_bytes = net.routing_table_bytes();
-    return out;
-}
-
-/// routing_table_hash() under one build mode (forces every lazy row).
-std::uint64_t mode_hash(SimFinalizeMode mode, unsigned threads, std::uint32_t sites,
-                        std::uint32_t receivers) {
-    Simulator simulator;
-    SimConfig config;
-    config.finalize_mode = mode;
-    config.finalize_threads = threads;
-    Network net{simulator, 42, config};
-    make_dis_topology(net, scale_spec(sites, receivers));
-    net.finalize();
-    return net.routing_table_hash();
 }
 
 /// Fraction of the outermost "finalize" span covered by its direct phase
@@ -197,16 +136,8 @@ int main(int argc, char** argv) {
     std::string trace_path = "TRACE_finalize.json";
     std::uint32_t sites = 1000;
     std::uint32_t receivers = 97;  // 1000 x (router + secondary + 97) + 5 = ~99k
-    std::uint32_t ab_sites = 100;
-    std::uint32_t ab_receivers = 97;
     std::uint32_t full_sites = 2000;
     std::uint32_t full_receivers = 499;  // 2000 x (router + secondary + 499) + 5 > 1M
-    // Mode comparison runs at fewer, larger sites: per-site all-pairs cost
-    // scales with site size squared while the shared backbone build scales
-    // with site count squared, so this is the regime where skipping interior
-    // rows (lazy) or building them concurrently (parallel) actually shows.
-    std::uint32_t mode_sites = 300;
-    std::uint32_t mode_receivers = 346;  // 300 x (router + secondary + 346) + 5 = ~104k
     bool skip_full = false;
     bool full_only = false;
     bool full_dormant = true;
@@ -228,20 +159,11 @@ int main(int argc, char** argv) {
             sites = static_cast<std::uint32_t>(std::atoi(next("--sites")));
         else if (std::strcmp(argv[i], "--receivers") == 0)
             receivers = static_cast<std::uint32_t>(std::atoi(next("--receivers")));
-        else if (std::strcmp(argv[i], "--ab-sites") == 0)
-            ab_sites = static_cast<std::uint32_t>(std::atoi(next("--ab-sites")));
-        else if (std::strcmp(argv[i], "--ab-receivers") == 0)
-            ab_receivers = static_cast<std::uint32_t>(std::atoi(next("--ab-receivers")));
         else if (std::strcmp(argv[i], "--full-sites") == 0)
             full_sites = static_cast<std::uint32_t>(std::atoi(next("--full-sites")));
         else if (std::strcmp(argv[i], "--full-receivers") == 0)
             full_receivers =
                 static_cast<std::uint32_t>(std::atoi(next("--full-receivers")));
-        else if (std::strcmp(argv[i], "--mode-sites") == 0)
-            mode_sites = static_cast<std::uint32_t>(std::atoi(next("--mode-sites")));
-        else if (std::strcmp(argv[i], "--mode-receivers") == 0)
-            mode_receivers =
-                static_cast<std::uint32_t>(std::atoi(next("--mode-receivers")));
         else if (std::strcmp(argv[i], "--skip-full") == 0)
             skip_full = true;
         else if (std::strcmp(argv[i], "--full-only") == 0)
@@ -259,18 +181,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Min-of-N wall-time estimator: rerun `measure`, keep the run with the
-    // smallest finalize time (other fields are identical across runs -- the
-    // builds are deterministic).
-    const auto min_build = [&](auto&& measure) {
-        auto best = measure();
-        for (unsigned r = 1; r < repeat; ++r) {
-            auto again = measure();
-            if (again.finalize_seconds < best.finalize_seconds) best = again;
-        }
-        return best;
-    };
-
     std::vector<JsonMetric> metrics;
 
     if (!full_only) {
@@ -278,14 +188,12 @@ int main(int argc, char** argv) {
               fmt_int(receivers) + " receivers");
         obs::TraceRecorder trace_rec;
         trace_rec.install();
-        BuildStats big = run_build(/*flat=*/false, sites, receivers,
-                                   /*send_traffic=*/true);
+        BuildStats big = run_build(sites, receivers);
         trace_rec.uninstall();
         // Only the first run is traced; extra --repeat runs refine the
         // min-of-N finalize time.
         for (unsigned r = 1; r < repeat; ++r) {
-            const BuildStats again = run_build(/*flat=*/false, sites, receivers,
-                                               /*send_traffic=*/true);
+            const BuildStats again = run_build(sites, receivers);
             if (again.finalize_seconds < big.finalize_seconds) big = again;
         }
         // The flat matrices would hold n^2 next-hop entries (4B) + n^2 link
@@ -337,95 +245,11 @@ int main(int argc, char** argv) {
         } else {
             note("finalize trace: telemetry compiled out (LBRM_NO_TELEMETRY); skipped");
         }
-
-        title("Finalize modes: serial vs parallel vs lazy at " + fmt_int(mode_sites) +
-              " sites x " + fmt_int(mode_receivers) + " receivers");
-        const ModeStats serial = min_build(
-            [&] { return run_mode(SimFinalizeMode::kSerial, 0, mode_sites, mode_receivers); });
-        const ModeStats parallel = min_build(
-            [&] { return run_mode(SimFinalizeMode::kParallel, 0, mode_sites, mode_receivers); });
-        const ModeStats lazy = min_build(
-            [&] { return run_mode(SimFinalizeMode::kLazy, 0, mode_sites, mode_receivers); });
-        Table modes({"mode", "finalize s", "rows built", "table MiB"});
-        auto mode_row = [&](const char* name, const ModeStats& m) {
-            modes.row({name, fmt(m.finalize_seconds, 3), fmt_int(m.rows_built),
-                       fmt(static_cast<double>(m.table_bytes) / (1024.0 * 1024.0), 1)});
-        };
-        mode_row("serial", serial);
-        mode_row("parallel", parallel);
-        mode_row("lazy", lazy);
-        const double best =
-            parallel.finalize_seconds < lazy.finalize_seconds ? parallel.finalize_seconds
-                                                              : lazy.finalize_seconds;
-        const double speedup = serial.finalize_seconds / best;
-        note("");
-        note("best non-serial mode is " + fmt(speedup, 1) + "x faster than serial");
-
-        metrics.push_back({"finalize_modes", "nodes",
-                           static_cast<double>(serial.nodes), timestamp});
-        metrics.push_back({"finalize_modes", "finalize_seconds_serial",
-                           serial.finalize_seconds, timestamp});
-        metrics.push_back({"finalize_modes", "finalize_seconds_parallel",
-                           parallel.finalize_seconds, timestamp});
-        metrics.push_back(
-            {"finalize_modes", "finalize_seconds_lazy", lazy.finalize_seconds, timestamp});
-        metrics.push_back({"finalize_modes", "rows_built_serial",
-                           static_cast<double>(serial.rows_built), timestamp});
-        metrics.push_back({"finalize_modes", "rows_built_lazy",
-                           static_cast<double>(lazy.rows_built), timestamp});
-        metrics.push_back({"finalize_modes", "best_mode_speedup", speedup, timestamp});
-
-        title("Build-mode hash A/B: " + fmt_int(ab_sites) + " sites x " +
-              fmt_int(ab_receivers) + " receivers");
-        const std::uint64_t h_serial =
-            mode_hash(SimFinalizeMode::kSerial, 0, ab_sites, ab_receivers);
-        const std::uint64_t h_parallel =
-            mode_hash(SimFinalizeMode::kParallel, 2, ab_sites, ab_receivers);
-        const std::uint64_t h_lazy =
-            mode_hash(SimFinalizeMode::kLazy, 0, ab_sites, ab_receivers);
-        const bool hashes_equal = h_serial == h_parallel && h_serial == h_lazy;
-        note(std::string("table hashes ") + (hashes_equal ? "match" : "DIFFER") +
-             " across serial/parallel/lazy");
-        if (!hashes_equal) return 1;
-        metrics.push_back(
-            {"finalize_modes", "mode_hashes_equal", hashes_equal ? 1.0 : 0.0, timestamp});
-
-        title("Flat vs hierarchical A/B: " + fmt_int(ab_sites) + " sites x " +
-              fmt_int(ab_receivers) + " receivers");
-        const BuildStats hier = min_build([&] {
-            return run_build(/*flat=*/false, ab_sites, ab_receivers,
-                             /*send_traffic=*/true);
-        });
-        const BuildStats flat = min_build([&] {
-            return run_build(/*flat=*/true, ab_sites, ab_receivers,
-                             /*send_traffic=*/true);
-        });
-        Table ab({"scheme", "nodes", "finalize s", "table MiB", "delivered"});
-        ab.row({"hier", fmt_int(hier.nodes), fmt(hier.finalize_seconds, 3),
-                fmt(static_cast<double>(hier.table_bytes) / (1024.0 * 1024.0), 1),
-                fmt_int(hier.delivered)});
-        ab.row({"flat", fmt_int(flat.nodes), fmt(flat.finalize_seconds, 3),
-                fmt(static_cast<double>(flat.table_bytes) / (1024.0 * 1024.0), 1),
-                fmt_int(flat.delivered)});
-        if (hier.delivered != flat.delivered) {
-            note("ERROR: schemes delivered different packet counts");
-            return 1;
-        }
-
-        metrics.push_back(
-            {"routing_ab", "finalize_seconds_hier", hier.finalize_seconds, timestamp});
-        metrics.push_back(
-            {"routing_ab", "finalize_seconds_flat", flat.finalize_seconds, timestamp});
-        metrics.push_back({"routing_ab", "routing_table_bytes_hier",
-                           static_cast<double>(hier.table_bytes), timestamp});
-        metrics.push_back({"routing_ab", "routing_table_bytes_flat",
-                           static_cast<double>(flat.table_bytes), timestamp});
-
-    }  // --full-only skips the routing phases
+    }  // --full-only skips the routing phase
 
     if (!skip_full || full_only) {
         title("Full protocol at scale: " + fmt_int(full_sites) + " sites x " +
-              fmt_int(full_receivers) + " receivers (lazy finalize, counting observer" +
+              fmt_int(full_receivers) + " receivers (counting observer" +
               (full_dormant ? ", dormant receivers" : "") +
               (active_per_site != 0
                    ? ", " + fmt_int(active_per_site) + " active/site"
@@ -433,7 +257,6 @@ int main(int argc, char** argv) {
               ")");
         ScenarioConfig cfg;
         cfg.topology = scale_spec(full_sites, full_receivers);
-        cfg.sim.finalize_mode = SimFinalizeMode::kLazy;
         cfg.sim.path_cache_capacity = 1u << 16;
         cfg.dormant_receivers = full_dormant;
         cfg.active_receivers_per_site = active_per_site;

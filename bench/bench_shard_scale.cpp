@@ -4,8 +4,8 @@
 // Modes:
 //
 //   gate (default) -- 20-site A/B: the unsharded shard-ordering baseline vs
-//                     the inline, threaded and multi-process drivers at
-//                     1, 2 and 4 shards.  Exits 1 unless every run's
+//                     the inline and multi-process drivers at 1, 2 and 4
+//                     shards.  Exits 1 unless every run's
 //                     order-independent packet-trace digest matches the
 //                     baseline bit for bit (the tentpole determinism claim)
 //                     and no run counts a remote drop.
@@ -24,18 +24,15 @@
 //                     (deliveries / cpu_seconds_max_shard -- the throughput
 //                     bound once each shard owns a core; wall pps with
 //                     fewer cores than shards just measures timesharing),
-//                     window count,
-//                     window-barrier stall fraction (from the
-//                     shard.barrier_wait_ns gauge the PR 5 registry
-//                     snapshots per shard), and peak RSS -- per-shard for
-//                     the process driver (each child reports getrusage),
-//                     process-wide for the others.
+//                     window count, window stall fraction (time blocked on
+//                     the coordinator pipe, the shard.barrier_wait_ns
+//                     gauge), and peak RSS -- per-shard for the process
+//                     driver (each child reports getrusage), process-wide
+//                     for the baseline.
 //
 // The full-mode driver order is deliberate: processes first (the children
 // fork before any simulation state exists, so their per-shard RSS is
-// clean), then the unsharded baseline, then threads -- ru_maxrss is
-// monotone per process, and each later run's peak dominates the earlier
-// ones on this ordering.
+// clean), then the unsharded baseline -- ru_maxrss is monotone per process.
 //
 // Usage:
 //   bench_shard_scale [--json PATH] [--timestamp ISO8601]
@@ -43,7 +40,7 @@
 //                     [--full-sites N] [--full-receivers N]
 //                     [--full-dormant 0|1] [--active-per-site N]
 //                     [--updates N] [--update-bytes N]
-//                     [--skip-baseline] [--skip-threads] [--skip-processes]
+//                     [--skip-baseline] [--skip-processes]
 #include <cstdio>
 #include <chrono>
 #include <cstdlib>
@@ -95,7 +92,7 @@ ShardRunConfig gate_config(std::uint32_t shards) {
 }
 
 int run_gate(const std::string& json_path, const std::string& timestamp) {
-    title("Sharded A/B gate: 20 sites, drivers x {1, 2, 4} shards");
+    title("Sharded A/B gate: 20 sites, {inline, processes} x {1, 2, 4} shards");
 
     const ShardResult base = run_unsharded(gate_config(1));
     note("baseline (unsharded, shard ordering): " + fmt_int(base.digest.packets) +
@@ -104,7 +101,6 @@ int run_gate(const std::string& json_path, const std::string& timestamp) {
     note("");
 
     const Driver drivers[] = {{"inline", run_sharded_inline},
-                              {"threads", run_sharded_threads},
                               {"processes", run_sharded_processes}};
 
     std::vector<JsonMetric> metrics;
@@ -228,7 +224,6 @@ struct FullArgs {
     std::uint32_t updates = 3;
     std::size_t update_bytes = 200;
     bool skip_baseline = false;
-    bool skip_threads = false;
     bool skip_processes = false;
 };
 
@@ -242,7 +237,6 @@ ShardRunConfig full_config(const FullArgs& a) {
     ShardRunConfig cfg;
     cfg.scenario.topology.sites = a.sites;
     cfg.scenario.topology.receivers_per_site = a.receivers;
-    cfg.scenario.sim.finalize_mode = SimFinalizeMode::kLazy;
     cfg.scenario.sim.path_cache_capacity = 1u << 16;
     cfg.scenario.dormant_receivers = a.dormant;
     cfg.scenario.active_receivers_per_site = a.active_per_site;
@@ -290,7 +284,6 @@ int run_full(const FullArgs& a, const std::string& json_path,
     const Run runs[] = {
         {"processes", a.shards, run_sharded_processes, a.skip_processes},
         {"single", 1, run_unsharded, a.skip_baseline},
-        {"threads", a.shards, run_sharded_threads, a.skip_threads},
     };
 
     for (const Run& run : runs) {
@@ -426,8 +419,6 @@ int main(int argc, char** argv) {
                 static_cast<std::size_t>(std::atoi(next("--update-bytes", i)));
         else if (std::strcmp(argv[i], "--skip-baseline") == 0)
             fa.skip_baseline = true;
-        else if (std::strcmp(argv[i], "--skip-threads") == 0)
-            fa.skip_threads = true;
         else if (std::strcmp(argv[i], "--skip-processes") == 0)
             fa.skip_processes = true;
         else {

@@ -33,9 +33,7 @@ inline constexpr bool kTelemetryEnabled = true;
 #endif
 
 /// Monotonic event count.  Single-writer (the sim thread); not atomic on
-/// purpose -- parallel-finalize workers must not share Counter handles
-/// (they do not: the only parallel-region statistic, rows_built_, stays an
-/// atomic member surfaced through a pull gauge).
+/// purpose -- a registry belongs to one simulation domain.
 class Counter {
 public:
     void inc(std::uint64_t n = 1) {

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
-#include <thread>
 
+#include "common/fnv.hpp"
 #include "obs/trace.hpp"
 #include "sim/sim_host.hpp"
 
@@ -18,11 +16,9 @@ namespace {
 constexpr std::int64_t kInfDist = std::numeric_limits<std::int64_t>::max();
 
 /// Edge weight: propagation + 1 microsecond hop penalty (prefers fewer
-/// hops between equal-latency paths, keeping routes deterministic).  The
-/// flat and hierarchical schemes share this metric exactly, which makes
-/// their paths identical whenever shortest paths are unique under it;
-/// equal-cost multipaths may tie-break differently between the schemes
-/// (DESIGN.md "Hierarchical routing", tie-breaking).
+/// hops between equal-latency paths, keeping routes deterministic).
+/// Sampled into the CSR snapshot at finalize(), so a later re-spec cannot
+/// reach a row built after it.
 [[nodiscard]] std::int64_t edge_weight(const Link* l) {
     return l->spec().propagation.count() + 1000;
 }
@@ -42,16 +38,6 @@ constexpr std::int64_t kInfDist = std::numeric_limits<std::int64_t>::max();
     return (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
 }
 
-[[nodiscard]] SimFinalizeMode resolve_finalize_mode(SimFinalizeMode configured) {
-    const char* env = std::getenv("LBRM_SIM_FINALIZE");
-    if (env == nullptr) return configured;
-    const std::string_view v{env};
-    if (v == "serial") return SimFinalizeMode::kSerial;
-    if (v == "parallel") return SimFinalizeMode::kParallel;
-    if (v == "lazy") return SimFinalizeMode::kLazy;
-    return configured;
-}
-
 }  // namespace
 
 namespace {
@@ -67,18 +53,9 @@ constexpr const char* kSimGaugeNames[] = {
 
 Network::Network(Simulator& simulator, std::uint64_t seed, SimConfig config)
     : simulator_(simulator), rng_(seed), seed_(seed),
-      finalize_mode_(resolve_finalize_mode(config.finalize_mode)),
-      finalize_threads_(config.finalize_threads),
       path_cache_capacity_(config.path_cache_capacity),
       tree_cache_capacity_(config.tree_cache_capacity),
       metrics_(config.metrics ? config.metrics : std::make_shared<obs::Metrics>()),
-      flat_routes_requested_(config.flat_routes ||
-                             std::getenv("LBRM_SIM_FLAT_ROUTES") != nullptr),
-      batching_enabled_(std::getenv("LBRM_SIM_NO_BATCH") == nullptr),
-      delivery_batching_(config.delivery_batching &&
-                         std::getenv("LBRM_SIM_NO_DELIVERY_BATCH") == nullptr),
-      arena_enabled_(config.delivery_arena &&
-                     std::getenv("LBRM_SIM_NO_DELIVERY_ARENA") == nullptr),
       shard_ordering_(config.shard_ordering) {
     if (shard_ordering_) simulator_.enable_actor_keys();
     register_metrics();
@@ -254,10 +231,10 @@ void Network::add_link(NodeId a, NodeId b, const LinkSpec& spec) {
     // A changed edge can invalidate any cached tree or cached path, so both
     // caches drop immediately -- not just at the next finalize().  In-flight
     // deliveries keep their pinned trees and complete on the pre-change
-    // routes, as before.  The CSR snapshot is *not* rebuilt here: routing
-    // (including lazily built rows) keeps reading the finalize-time
-    // adjacency until the required finalize(), exactly as the eagerly
-    // built tables kept serving stale routes.
+    // routes, as before.  The CSR snapshot (adjacency and edge weights) is
+    // *not* rebuilt here: every row, including one first built after this
+    // call, keeps reading the finalize-time graph until the required
+    // finalize().
     invalidate_all_trees();
     clear_path_cache();
     finalized_ = false;
@@ -274,9 +251,8 @@ void Network::set_node_down(NodeId node, bool down) {
     if ((node_down_[i] != 0) != down) invalidate_all_trees();
     node_down_[i] = down ? 1 : 0;
     // The path cache is untouched: routes are a pure function of the
-    // tables built at the last finalize() -- the flat matrices bake
-    // liveness into the Dijkstra runs, and every site-table row (built
-    // eagerly or lazily) plus compose_hop consult the route_down_ /
+    // tables built at the last finalize() -- every site-table row (built at
+    // finalize or lazily) plus compose_hop consult the route_down_ /
     // border_down_ snapshots, never the live flags -- so a downed relay
     // blackholes until re-finalize, like an unconverged routing protocol,
     // and cache occupancy can never change outcomes.  Trees must drop
@@ -305,9 +281,9 @@ const Link* Network::link(NodeId a, NodeId b) const {
 }
 
 // ---------------------------------------------------------------------------
-// Routing: finalize() builds either the flat matrices or the hierarchical
-// site/backbone tables (DESIGN.md "Hierarchical routing", "Scale
-// engineering").
+// Routing: finalize() builds the hierarchical site/backbone tables, leaving
+// interior rows to materialise on first touch (DESIGN.md "Hierarchical
+// routing", "Scale engineering").
 // ---------------------------------------------------------------------------
 
 void Network::build_adjacency() {
@@ -316,13 +292,16 @@ void Network::build_adjacency() {
     csr_offset_.assign(n + 1, 0);
     csr_to_.clear();
     csr_link_.clear();
+    csr_weight_.clear();
     csr_to_.reserve(edge_cells_.size());
     csr_link_.reserve(edge_cells_.size());
+    csr_weight_.reserve(edge_cells_.size());
     for (std::size_t i = 0; i < n; ++i) {
         csr_offset_[i] = static_cast<std::uint32_t>(csr_to_.size());
         for (std::uint32_t c = edge_head_[i]; c != kNoIndex; c = edge_cells_[c].next) {
             csr_to_.push_back(edge_cells_[c].to);
             csr_link_.push_back(edge_cells_[c].link);
+            csr_weight_.push_back(edge_weight(edge_cells_[c].link));
         }
     }
     csr_offset_[n] = static_cast<std::uint32_t>(csr_to_.size());
@@ -350,84 +329,20 @@ void Network::finalize() {
         LBRM_TRACE_SPAN("finalize.prep");
         invalidate_all_trees();
         clear_path_cache();
-        // Snapshot adjacency and liveness: every table row -- including rows
-        // a lazy finalize materialises mid-run -- is a pure function of
+        // Snapshot adjacency, edge weights and liveness: every table row --
+        // including rows materialised mid-run -- is a pure function of
         // these, so build order/time cannot change a route.
         build_adjacency();
         route_down_.assign(node_down_.begin(), node_down_.end());
     }
-    built_flat_ = flat_routes_requested_;
-    rows_built_.store(0, std::memory_order_relaxed);
     {
         LBRM_TRACE_SPAN("finalize.routes");
-        if (built_flat_) {
-            // Release the hierarchical tables (mode may have flipped).
-            std::vector<SiteTable>().swap(site_tables_);
-            std::vector<std::uint32_t>().swap(node_site_);
-            std::vector<std::uint32_t>().swap(node_local_);
-            std::vector<std::uint32_t>().swap(border_nodes_);
-            std::vector<std::uint32_t>().swap(node_border_);
-            std::vector<std::uint8_t>().swap(border_down_);
-            std::vector<std::int64_t>().swap(bb_dist_);
-            std::vector<std::uint32_t>().swap(bb_next_node_);
-            std::vector<Link*>().swap(bb_next_link_);
-            build_flat_routes();
-        } else {
-            std::vector<std::uint32_t>().swap(routes_);
-            std::vector<Link*>().swap(route_links_);
-            build_hierarchical_routes();
-        }
+        build_routes();
     }
     finalized_ = true;
 }
 
-void Network::build_flat_routes() {
-    LBRM_TRACE_SPAN("finalize.flat_routes");
-    const std::size_t n = node_count();
-    routes_.assign(n * n, 0);
-    route_links_.assign(n * n, nullptr);
-
-    // Dijkstra from every node.  A down node may still be an endpoint but
-    // never relays: its edges are not expanded unless it is the source.
-    std::vector<std::int64_t> dist(n);
-    std::vector<std::uint32_t> first_hop(n);
-    std::vector<Link*> first_link(n);
-
-    for (std::size_t src = 0; src < n; ++src) {
-        std::fill(dist.begin(), dist.end(), kInfDist);
-        std::fill(first_hop.begin(), first_hop.end(), 0u);
-        std::fill(first_link.begin(), first_link.end(), nullptr);
-        dist[src] = 0;
-
-        using QE = std::pair<std::int64_t, std::uint32_t>;  // (distance, node index)
-        std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-        pq.emplace(0, static_cast<std::uint32_t>(src));
-
-        while (!pq.empty()) {
-            auto [d, u] = pq.top();
-            pq.pop();
-            if (d != dist[u]) continue;
-            if (u != src && route_down_[u]) continue;  // no transit via dead nodes
-            for (std::uint32_t k = csr_offset_[u]; k != csr_offset_[u + 1]; ++k) {
-                const std::size_t v = csr_to_[k];
-                const std::int64_t w = edge_weight(csr_link_[k]);
-                if (d + w < dist[v]) {
-                    dist[v] = d + w;
-                    first_hop[v] = (u == src) ? static_cast<std::uint32_t>(v + 1)
-                                              : first_hop[u];
-                    first_link[v] = (u == src) ? csr_link_[k] : first_link[u];
-                    pq.emplace(dist[v], static_cast<std::uint32_t>(v));
-                }
-            }
-        }
-        for (std::size_t dst = 0; dst < n; ++dst) {
-            routes_[src * n + dst] = first_hop[dst];
-            route_links_[src * n + dst] = first_link[dst];
-        }
-    }
-}
-
-void Network::build_hierarchical_routes() {
+void Network::build_routes() {
     const std::size_t n = node_count();
 
     {
@@ -447,14 +362,9 @@ void Network::build_hierarchical_routes() {
             node_local_[i] = static_cast<std::uint32_t>(table.nodes.size());
             table.nodes.push_back(static_cast<std::uint32_t>(i));
         }
-        // Pre-size every row slot now: the parallel workers below then write
-        // disjoint slots with no shared mutable state, and lazy builds later
-        // fill whichever slot traffic first touches.
-        for (SiteTable& table : site_tables_) {
-            table.rows.clear();
-            table.rows.resize(table.nodes.size());
-            table.borders.clear();
-        }
+        // One empty slot per row; a row is built into its slot on first
+        // touch (ensure_row).
+        for (SiteTable& table : site_tables_) table.rows.resize(table.nodes.size());
 
         // 2. Border nodes: any node with an inter-site link (ascending index).
         border_nodes_.clear();
@@ -472,82 +382,28 @@ void Network::build_hierarchical_routes() {
         }
         // Border projection of the liveness snapshot: compose_hop must see the
         // state the tables were built under, not later set_node_down
-        // transitions (which only take routing effect at the next finalize, in
-        // both schemes).
+        // transitions (which only take routing effect at the next finalize).
         border_down_.assign(border_nodes_.size(), 0);
         for (std::size_t b = 0; b < border_nodes_.size(); ++b)
             border_down_[b] = route_down_[border_nodes_[b]];
     }
 
-    // 3. Per-site all-pairs rows (serial, parallel or lazy -- identical
-    //    bytes either way; see build_site_row).
-    build_site_rows();
+    // 3. The border rows, which the backbone build reads.  Every other row
+    //    waits for its first touch.
+    rows_built_ = 0;
+    {
+        LBRM_TRACE_SPAN("finalize.site_rows");
+        for (std::size_t s = 0; s < site_tables_.size(); ++s)
+            for (const std::uint32_t gb : site_tables_[s].borders)
+                build_site_row(static_cast<std::uint32_t>(s), node_local_[gb]);
+    }
 
-    // 4. Backbone all-pairs over the border nodes (needs the border rows,
-    //    which every mode has built by now).
+    // 4. Backbone all-pairs over the border nodes.
     build_backbone();
 }
 
-void Network::build_site_rows() {
-    LBRM_TRACE_SPAN("finalize.site_rows");
-    const std::size_t sites = site_tables_.size();
-    switch (finalize_mode_) {
-        case SimFinalizeMode::kLazy:
-            // Only the rows the backbone build needs: one per border node.
-            // Everything else materialises on first touch (ensure_row).
-            for (std::size_t s = 0; s < sites; ++s)
-                for (const std::uint32_t gb : site_tables_[s].borders)
-                    build_site_row(static_cast<std::uint32_t>(s), node_local_[gb],
-                                   scratch_);
-            return;
-        case SimFinalizeMode::kParallel: {
-            unsigned workers = finalize_threads_ != 0
-                                   ? finalize_threads_
-                                   : std::thread::hardware_concurrency();
-            if (workers == 0) workers = 1;
-            workers = static_cast<unsigned>(
-                std::min<std::size_t>(workers, std::max<std::size_t>(sites, 1)));
-            if (workers > 1) {
-                // Sites are independent: each worker claims sites off a
-                // shared counter and fills that site's pre-sized row slots.
-                // No two threads ever touch the same row, and all shared
-                // inputs (CSR, route_down_, site indexing) are read-only.
-                std::atomic<std::size_t> next_site{0};
-                auto work = [this, &next_site, sites] {
-                    LBRM_TRACE_SPAN("finalize.site_rows.worker");
-                    DijkstraScratch scratch;
-                    for (;;) {
-                        const std::size_t s =
-                            next_site.fetch_add(1, std::memory_order_relaxed);
-                        if (s >= sites) break;
-                        const std::size_t m = site_tables_[s].size();
-                        for (std::size_t src = 0; src < m; ++src)
-                            build_site_row(static_cast<std::uint32_t>(s),
-                                           static_cast<std::uint32_t>(src), scratch);
-                    }
-                };
-                std::vector<std::thread> pool;
-                pool.reserve(workers - 1);
-                for (unsigned t = 1; t < workers; ++t) pool.emplace_back(work);
-                work();
-                for (std::thread& t : pool) t.join();
-                return;
-            }
-            [[fallthrough]];
-        }
-        case SimFinalizeMode::kSerial:
-            for (std::size_t s = 0; s < sites; ++s) {
-                const std::size_t m = site_tables_[s].size();
-                for (std::size_t src = 0; src < m; ++src)
-                    build_site_row(static_cast<std::uint32_t>(s),
-                                   static_cast<std::uint32_t>(src), scratch_);
-            }
-            return;
-    }
-}
-
-void Network::build_site_row(std::uint32_t site, std::uint32_t src_local,
-                             DijkstraScratch& s) {
+void Network::build_site_row(std::uint32_t site, std::uint32_t src_local) {
+    DijkstraScratch& s = scratch_;
     SiteTable& table = site_tables_[site];
     const std::size_t m = table.size();
     s.dist.assign(m, kInfDist);
@@ -556,10 +412,10 @@ void Network::build_site_row(std::uint32_t site, std::uint32_t src_local,
     s.dist[src_local] = 0;
     s.pq.emplace(0, src_local);
 
-    // Dijkstra over the site's own subgraph (same dead-relay rule as the
-    // flat scheme), against the finalize-time adjacency + liveness
-    // snapshots -- never live state, so a lazily built row is bit-identical
-    // to the same row built eagerly.
+    // Dijkstra over the site's own subgraph against the finalize-time
+    // adjacency, weight and liveness snapshots -- never live state, so a
+    // row is the same whenever it is first built.  A node down at finalize
+    // may be the source but never relays.
     while (!s.pq.empty()) {
         auto [d, u] = s.pq.top();
         s.pq.pop();
@@ -570,7 +426,7 @@ void Network::build_site_row(std::uint32_t site, std::uint32_t src_local,
             const std::uint32_t gv = csr_to_[k];
             if (node_site_[gv] != site) continue;  // intra only
             const std::uint32_t v = node_local_[gv];
-            const std::int64_t w = edge_weight(csr_link_[k]);
+            const std::int64_t w = csr_weight_[k];
             if (d + w < s.dist[v]) {
                 s.dist[v] = d + w;
                 s.first_hop[v] = (u == src_local) ? gv : s.first_hop[u];
@@ -584,7 +440,7 @@ void Network::build_site_row(std::uint32_t site, std::uint32_t src_local,
     for (std::size_t i = 0; i < m; ++i)
         row[i] = RowCell{s.dist[i], s.first_hop[i], s.first_link[i]};
     table.rows[src_local] = std::move(row);
-    rows_built_.fetch_add(1, std::memory_order_relaxed);
+    ++rows_built_;
 }
 
 void Network::build_backbone() {
@@ -619,12 +475,12 @@ void Network::build_backbone() {
             const std::uint32_t gu = border_nodes_[u];
             if (u != src && route_down_[gu]) continue;
 
-            // Real inter-site links (adjacency order, as in the flat scheme).
+            // Real inter-site links, in adjacency order.
             for (std::uint32_t k = csr_offset_[gu]; k != csr_offset_[gu + 1]; ++k) {
                 const std::uint32_t gv = csr_to_[k];
                 if (node_site_[gv] == node_site_[gu]) continue;
                 const std::uint32_t v = node_border_[gv];  // inter-site => border
-                const std::int64_t w = edge_weight(csr_link_[k]);
+                const std::int64_t w = csr_weight_[k];
                 if (d + w < bdist[v]) {
                     bdist[v] = d + w;
                     bfirst_node[v] = (u == src) ? gv : bfirst_node[u];
@@ -685,9 +541,8 @@ Network::Hop Network::compose_hop(std::uint32_t from, std::uint32_t to) {
     // Borders down *at the last finalize* never relay, but may still be
     // the endpoint itself; liveness comes from the border_down_ snapshot,
     // never the live flags, so a mid-run set_node_down leaves routing
-    // untouched until re-finalize (matching the flat matrices).  Every row
-    // consulted here is either `from`'s own (ensured above) or a border
-    // row, which every finalize mode builds eagerly.
+    // untouched until re-finalize.  Every row consulted here is either
+    // `from`'s own (ensured above) or a border row, which finalize() builds.
     for (const std::uint32_t b1 : stu.borders) {
         if (border_down_[node_border_[b1]] && b1 != from) continue;
         const std::int64_t du = (b1 == from) ? 0 : ru[node_local_[b1]].dist;
@@ -721,14 +576,8 @@ Network::Hop Network::compose_hop(std::uint32_t from, std::uint32_t to) {
 Network::Hop Network::hop_toward(std::uint32_t from, std::uint32_t to) {
     // No finalized_ check here: the traffic entry points enforce it, and
     // in-flight deliveries must keep forwarding on the (stale) tables after
-    // a mid-run add_link, exactly as the flat matrices kept serving.
+    // a mid-run add_link.
     if (from == to) return Hop{};
-    if (built_flat_) {
-        const std::size_t n = node_count();
-        const std::uint32_t hop = routes_[from * n + to];
-        if (hop == 0) return Hop{};
-        return Hop{hop - 1, route_links_[from * n + to]};
-    }
     // Same-site next hops come straight from the intra-site rows; only
     // cross-site compositions go through the LRU path cache.
     if (node_site_[from] == node_site_[to]) return compose_hop(from, to);
@@ -756,25 +605,23 @@ void Network::clear_path_cache() {
     path_lru_.clear();
 }
 
+NodeId Network::next_hop(NodeId from, NodeId to) {
+    if (index(from) >= node_site_.size() || index(to) >= node_site_.size())
+        throw std::logic_error("Network::next_hop: node unknown to the last finalize()");
+    if (from == to) return kNoNode;
+    const Hop h = compose_hop(static_cast<std::uint32_t>(index(from)),
+                              static_cast<std::uint32_t>(index(to)));
+    return h.link != nullptr ? NodeId{h.next + 1} : kNoNode;
+}
+
 std::uint64_t Network::routing_table_hash() {
-    std::uint64_t h = 14695981039346656037ULL;  // FNV-1a 64 offset basis
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFFu;
-            h *= 1099511628211ULL;
-        }
-    };
+    Fnv1a hash;
+    auto mix = [&hash](std::uint64_t v) { hash.feed_u64(v); };
     auto mix_link = [&mix](const Link* l) {
         mix(l != nullptr ? (static_cast<std::uint64_t>(l->from().value()) << 32) |
                                l->to().value()
                          : 0);
     };
-    if (built_flat_) {
-        mix(routes_.size());
-        for (const std::uint32_t v : routes_) mix(v);
-        for (const Link* l : route_links_) mix_link(l);
-        return h;
-    }
     for (std::size_t s = 0; s < site_tables_.size(); ++s) {
         SiteTable& t = site_tables_[s];
         const std::size_t m = t.size();
@@ -796,7 +643,7 @@ std::uint64_t Network::routing_table_hash() {
     for (const std::int64_t v : bb_dist_) mix(static_cast<std::uint64_t>(v));
     for (const std::uint32_t v : bb_next_node_) mix(v);
     for (const Link* l : bb_next_link_) mix_link(l);
-    return h;
+    return hash.h;
 }
 
 // ---------------------------------------------------------------------------
@@ -1479,10 +1326,6 @@ void Network::inject_remote(const RemoteEvent& ev) {
 // ---------------------------------------------------------------------------
 
 std::size_t Network::routing_table_bytes() const {
-    if (built_flat_)
-        return routes_.capacity() * sizeof(std::uint32_t) +
-               route_links_.capacity() * sizeof(Link*);
-
     std::size_t total = 0;
     for (const SiteTable& t : site_tables_) {
         total += t.nodes.capacity() * sizeof(std::uint32_t) +

@@ -16,26 +16,22 @@
 // membership is sorted flat vectors (ascending node id -- the same
 // iteration order std::set gave).
 //
-// Routing is hierarchical by default (see DESIGN.md "Hierarchical
-// routing"), mirroring the paper's two-level site/backbone topology:
-// per-site intra-site shortest-path tables compose with an inter-site
-// backbone table over the border nodes, for O(sites^2 + sum site_size^2)
-// memory instead of the flat O(n^2) matrices.  Cross-site next hops are
-// resolved on demand through an LRU-bounded path cache.  The flat matrices
-// remain available behind SimConfig::flat_routes / LBRM_SIM_FLAT_ROUTES and
-// produce identical paths, delivery times and RNG draw order on any
-// topology whose shortest paths are unique under the hop-penalised metric
-// (true of every shipped scenario; with equal-cost multipaths the two
-// schemes may tie-break differently -- see DESIGN.md "Hierarchical
-// routing", tie-breaking).
+// Routing is hierarchical (see DESIGN.md "Hierarchical routing"),
+// mirroring the paper's two-level site/backbone topology: per-site
+// intra-site shortest-path tables compose with an inter-site backbone table
+// over the border nodes, for O(sites^2 + sum site_size^2) memory instead of
+// O(n^2).  Cross-site next hops are resolved on demand through an
+// LRU-bounded path cache.  The metric is propagation + 1 us per hop, and a
+// node down at the last finalize() never relays; tests/routing_reference.hpp
+// checks every next hop against a brute-force all-pairs Dijkstra over the
+// same metric.
 //
-// The per-site tables build serially, in parallel (sites are independent;
-// a worker pool fills pre-sized disjoint row slots) or lazily on first
-// touch, selected by SimConfig::finalize_mode / LBRM_SIM_FINALIZE.  All
-// three modes are bit-identical: every row is a pure function of the
-// adjacency CSR and liveness snapshot taken at finalize(), so neither build
-// order nor build *time* can change a route (a lazily built row never sees
-// a post-finalize set_node_down or add_link).
+// finalize() builds the border rows and the backbone; every other site-table
+// row is built on first touch.  Each row is a pure function of the
+// adjacency, edge-weight and liveness snapshots taken at finalize(), so
+// neither build order nor build *time* can change a route (a row first
+// built after a post-finalize set_node_down or add_link re-spec still routes
+// on the finalize-time graph).
 //
 // Delivery trees are cached per (group, sender, scope) behind an optional
 // LRU bound (SimConfig::tree_cache_capacity) and invalidated on membership
@@ -51,7 +47,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -114,10 +109,10 @@ public:
     /// (so re-finalizing after downing a router routes around it).  Until
     /// then routes keep forwarding into it and packets die there, exactly
     /// as a real network blackholes until the routing protocol reconverges:
-    /// both schemes route purely from finalize-time state (the flat
-    /// matrices and every site-table row -- even a lazily built one --
-    /// read the route_down_ snapshot; compose_hop reads border_down_), so a
-    /// down transition never changes routing until the next finalize().
+    /// routing reads only finalize-time state (every site-table row -- even
+    /// one first built later -- reads the route_down_ snapshot; compose_hop
+    /// reads border_down_), so a down transition never changes routing
+    /// until the next finalize().
     void set_node_down(NodeId node, bool down);
 
     /// Compute routing tables.  Must be called after the last add_link and
@@ -179,27 +174,25 @@ public:
     /// Re-bound the tree cache at runtime (evicts LRU down to the new cap).
     void set_tree_cache_capacity(std::size_t capacity);
 
-    /// Bytes held by the routing tables of the active scheme (flat matrices
-    /// or hierarchical site/backbone tables + path cache).  Under lazy
-    /// finalize only materialised rows count.
+    /// Bytes held by the routing tables (site/backbone tables + path
+    /// cache).  Only materialised rows count.
     [[nodiscard]] std::size_t routing_table_bytes() const;
-    /// Entries currently held by the cross-site path cache (0 in flat mode).
+    /// Entries currently held by the cross-site path cache.
     [[nodiscard]] std::size_t path_cache_entries() const { return path_cache_.size(); }
-    /// Whether finalize() built the flat matrices (escape hatch active).
-    [[nodiscard]] bool flat_routes() const { return built_flat_; }
-    /// The resolved site-table build strategy (config or LBRM_SIM_FINALIZE).
-    [[nodiscard]] SimFinalizeMode finalize_mode() const { return finalize_mode_; }
-    /// Site-table rows currently materialised (== every row after a serial
-    /// or parallel finalize; grows on demand under lazy).
-    [[nodiscard]] std::size_t site_rows_built() const {
-        return rows_built_.load(std::memory_order_relaxed);
-    }
+    /// Site-table rows currently materialised (the border rows after
+    /// finalize(); grows as traffic touches other rows).
+    [[nodiscard]] std::size_t site_rows_built() const { return rows_built_; }
 
-    /// FNV-1a digest of the active routing tables: every site row (dist,
-    /// next hop, link endpoints), border set and backbone entry -- or the
-    /// flat matrices.  Forces lazy rows to materialise first, so equal
-    /// hashes mean bit-identical tables across build modes (the
-    /// serial/parallel/lazy A/B in tests/scale_engine_test.cpp).
+    /// The next hop from `from` toward `to` under the tables of the last
+    /// finalize(), as forwarding takes it; kNoNode when `to` is unreachable
+    /// or equal to `from`.  Builds any row it touches but bypasses the path
+    /// cache (a cached hop always equals a composed one).  Throws
+    /// std::logic_error for a node the last finalize() did not see.
+    [[nodiscard]] NodeId next_hop(NodeId from, NodeId to);
+
+    /// FNV-1a digest of the routing tables: every site row (dist, next hop,
+    /// link endpoints), border set and backbone entry.  Builds every
+    /// missing row first, so equal hashes mean bit-identical tables.
     [[nodiscard]] std::uint64_t routing_table_hash();
 
     /// Observation tap invoked for every packet put on any link (after the
@@ -222,24 +215,22 @@ public:
 
     void reset_link_stats();
 
-    /// Link burst batching (see DESIGN.md): on by default, disabled by the
-    /// LBRM_SIM_NO_BATCH environment variable at construction or by this
-    /// setter (the bench A/Bs both paths in-process).  Both paths produce
-    /// bit-identical delivery times, drop decisions and RNG draw order.
+    /// Link burst batching (see DESIGN.md): on by default; this setter turns
+    /// it off for the bit-identity A/Bs (wraparound_test,
+    /// bench_burst_batching).  Both paths produce bit-identical delivery
+    /// times, drop decisions and RNG draw order.
     void set_batching(bool enabled) { batching_enabled_ = enabled; }
     [[nodiscard]] bool batching_enabled() const { return batching_enabled_; }
 
     /// Per-(site, packet) delivery batching (see DESIGN.md "Memory
-    /// engineering"): on by default, disabled by LBRM_SIM_NO_DELIVERY_BATCH
-    /// at construction or by this setter.  Bit-identical either way
-    /// (memory_diet_test A/Bs the trace hash).
+    /// engineering"): on by default; this setter turns it off for the
+    /// bit-identity A/B in memory_diet_test.
     void set_delivery_batching(bool enabled) { delivery_batching_ = enabled; }
     [[nodiscard]] bool delivery_batching() const { return delivery_batching_; }
 
-    /// Burst-scoped bump arena for delivery records: on by default,
-    /// disabled by LBRM_SIM_NO_DELIVERY_ARENA at construction or by this
-    /// setter (records allocated before a toggle keep their original
-    /// backing).  Bit-identical either way.
+    /// Burst-scoped bump arena for delivery records: on by default; this
+    /// setter turns it off for the bit-identity A/B in memory_diet_test
+    /// (records allocated before a toggle keep their original backing).
     void set_delivery_arena(bool enabled) { arena_enabled_ = enabled; }
     [[nodiscard]] bool delivery_arena_enabled() const { return arena_enabled_; }
     /// The arena itself, for introspection (tests, memory accounting).
@@ -325,11 +316,10 @@ private:
         Link* link;
     };
 
-    /// Per-site routing table (hierarchical scheme): all-pairs shortest
-    /// paths over the site's own subgraph, plus the site's border nodes
-    /// (nodes with at least one inter-site link).  Rows are one slab each,
-    /// so lazy finalize materialises only the rows traffic touches and a
-    /// parallel build writes disjoint pre-sized slots.
+    /// Per-site routing table: all-pairs shortest paths over the site's own
+    /// subgraph, plus the site's border nodes (nodes with at least one
+    /// inter-site link).  Rows are one slab each, so only the rows traffic
+    /// touches are ever built.
     struct SiteTable {
         std::vector<std::uint32_t> nodes;    ///< global node indices, in site order
         std::vector<std::uint32_t> borders;  ///< global node indices, ascending
@@ -396,8 +386,7 @@ private:
 
     [[nodiscard]] std::size_t index(NodeId id) const { return id.value() - 1; }
 
-    /// Dijkstra scratch shared across row builds (each worker thread and
-    /// the lazy path carry their own instance).
+    /// Dijkstra scratch reused across row builds.
     struct DijkstraScratch {
         std::vector<std::int64_t> dist;
         std::vector<std::uint32_t> first_hop;
@@ -409,31 +398,30 @@ private:
     };
 
     // --- routing ---------------------------------------------------------
-    /// Flatten the edge arena into the CSR adjacency snapshot.  Routing
-    /// reads only the snapshot, so rows built lazily after a post-finalize
-    /// add_link still see the finalize-time adjacency (stale-table
-    /// semantics, identical to the eagerly built matrices).
+    /// Flatten the edge arena into the CSR adjacency snapshot, edge weights
+    /// included.  Routing reads only the snapshot, so a row first built
+    /// after a post-finalize add_link still sees the finalize-time graph
+    /// (stale-table semantics).
     void build_adjacency();
     /// Make the construction-time edge lists live again: size head/tail to
     /// the current node count and, when build_adjacency() freed the cells,
     /// rebuild them from the CSR snapshot (identical per-source order).
     void ensure_edge_lists();
     [[nodiscard]] Link* find_link(std::uint64_t key) const;
-    void build_flat_routes();
-    void build_hierarchical_routes();
-    void build_site_rows();
+    /// Index the sites, find the borders, build the border rows and the
+    /// backbone (finalize()'s routing half).
+    void build_routes();
     /// Build one site-table row (all shortest paths out of local index
     /// `src_local` within site `site`).  Pure function of the CSR snapshot
     /// and route_down_; writes only rows[src_local].
-    void build_site_row(std::uint32_t site, std::uint32_t src_local,
-                        DijkstraScratch& scratch);
+    void build_site_row(std::uint32_t site, std::uint32_t src_local);
     void ensure_row(std::uint32_t site, std::uint32_t local) {
-        if (!site_tables_[site].rows[local]) build_site_row(site, local, scratch_);
+        if (!site_tables_[site].rows[local]) build_site_row(site, local);
     }
     void build_backbone();
 
-    /// Next forwarding step from node index `from` toward `to`; consults
-    /// the flat matrices or the hierarchical tables + path cache.
+    /// Next forwarding step from node index `from` toward `to`: same-site
+    /// pairs straight from the site rows, cross-site through the path cache.
     [[nodiscard]] Hop hop_toward(std::uint32_t from, std::uint32_t to);
     /// Uncached hierarchical composition: intra-site candidate vs the best
     /// (exit border, entry border) pair through the backbone.
@@ -519,6 +507,9 @@ private:
     std::vector<std::uint32_t> csr_offset_;
     std::vector<std::uint32_t> csr_to_;
     std::vector<Link*> csr_link_;
+    /// edge_weight() of each CSR edge, sampled at finalize(): a cable
+    /// re-spec'd afterwards changes no route until the next finalize().
+    std::vector<std::int64_t> csr_weight_;
 
     StableVector<Cable> cables_;  ///< creation order; adjacency points into dir[]
     /// link(a, b) lookup, keyed (from index << 32 | to index).  During
@@ -546,23 +537,16 @@ private:
     std::vector<GroupRec> groups_;
     [[nodiscard]] GroupRec* find_group(GroupId group);
 
-    // --- flat routing (escape hatch) -------------------------------------
-    /// routes_[src_index * n + dst_index] = next hop id value (0 = none);
-    /// route_links_ holds the link toward that hop.  Only populated when
-    /// finalize() built the flat scheme.
-    std::vector<std::uint32_t> routes_;
-    std::vector<Link*> route_links_;
-
     // --- hierarchical routing --------------------------------------------
     std::vector<SiteTable> site_tables_;
     std::vector<std::uint32_t> node_site_;   ///< dense site index per node
     std::vector<std::uint32_t> node_local_;  ///< index within the site
     std::vector<std::uint32_t> border_nodes_;  ///< global node index per border
     std::vector<std::uint32_t> node_border_;   ///< border index; kNoIndex = interior
-    /// Liveness snapshot taken at finalize().  Every row build -- eager or
-    /// lazy -- consults this, never the live node_down_ flags, so routes
-    /// stay a pure function of the last finalize() no matter when a row
-    /// materialises.  Live liveness is applied at delivery time instead.
+    /// Liveness snapshot taken at finalize().  Every row build consults
+    /// this, never the live node_down_ flags, so routes stay a pure
+    /// function of the last finalize() no matter when a row materialises.
+    /// Live liveness is applied at delivery time instead.
     std::vector<std::uint8_t> route_down_;
     /// Border projection of route_down_ (compose_hop's inner loop).
     std::vector<std::uint8_t> border_down_;
@@ -573,11 +557,8 @@ private:
     std::vector<std::uint32_t> bb_next_node_;
     std::vector<Link*> bb_next_link_;
 
-    SimFinalizeMode finalize_mode_;
-    unsigned finalize_threads_;
-    /// Materialised-row count (atomic: parallel workers all increment it).
-    std::atomic<std::size_t> rows_built_{0};
-    DijkstraScratch scratch_;  ///< serial + lazy row builds
+    std::size_t rows_built_ = 0;  ///< materialised site-table rows
+    DijkstraScratch scratch_;
 
     /// Cross-site next-hop cache: key (from << 32 | to) -> resolved hop,
     /// LRU-bounded by SimConfig::path_cache_capacity (0 = unbounded).
@@ -641,8 +622,6 @@ private:
     /// steady-state traffic recycles the same chunks malloc-free.
     BumpArena delivery_arena_;
     bool finalized_ = false;
-    bool flat_routes_requested_;
-    bool built_flat_ = false;
     bool batching_enabled_ = true;
     bool delivery_batching_ = true;
     bool arena_enabled_ = true;

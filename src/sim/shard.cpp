@@ -1,30 +1,22 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 #include <sys/resource.h>
 
+#include "common/fnv.hpp"
 #include "packet/packet.hpp"
 
 namespace lbrm::sim {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xFFu;
-        h *= kFnvPrime;
-    }
-    return h;
-}
+/// Offset basis of the per-record hash.  One digit short of the standard
+/// FNV-1a basis; kept so digests match those recorded before Fnv1a existed.
+constexpr std::uint64_t kRecordBasis = 1469598103934665603ull;
 
 std::uint64_t wall_ns_now() {
     return static_cast<std::uint64_t>(
@@ -33,25 +25,18 @@ std::uint64_t wall_ns_now() {
             .count());
 }
 
-/// CPU (user+system) consumed so far by `who` -- RUSAGE_SELF for the whole
-/// process, RUSAGE_THREAD (Linux) for the calling thread.  Deltas of this
-/// feed ShardResult::cpu_seconds_max_shard; returns 0 where unsupported so
-/// the metric degrades to "not measured" rather than garbage.
-std::uint64_t cpu_ns_now(int who) {
+/// CPU (user+system) consumed so far by this process.  Deltas of this feed
+/// ShardResult::cpu_seconds_max_shard; returns 0 where unsupported so the
+/// metric degrades to "not measured" rather than garbage.
+std::uint64_t cpu_ns_now() {
     rusage ru{};
-    if (::getrusage(who, &ru) != 0) return 0;
+    if (::getrusage(RUSAGE_SELF, &ru) != 0) return 0;
     const auto tv_ns = [](const timeval& tv) {
         return static_cast<std::uint64_t>(tv.tv_sec) * 1000000000ull +
                static_cast<std::uint64_t>(tv.tv_usec) * 1000ull;
     };
     return tv_ns(ru.ru_utime) + tv_ns(ru.ru_stime);
 }
-
-#if defined(RUSAGE_THREAD)
-constexpr int kThreadUsage = RUSAGE_THREAD;  // Linux: per-thread accounting
-#else
-constexpr int kThreadUsage = RUSAGE_SELF;    // fallback: process-wide
-#endif
 
 /// Fold one shard's end-of-run state into the result: digest, the headline
 /// counters, the structured registry snapshot (histogram buckets intact),
@@ -93,20 +78,19 @@ ShardPlan ShardPlan::contiguous(std::size_t sites, std::uint32_t shards) {
 
 void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
                       bool delivered) {
-    std::uint64_t h = kFnvOffset;
-    h = fnv_u64(h, static_cast<std::uint64_t>(at.time_since_epoch().count()));
-    h = fnv_u64(h, link.from().value());
-    h = fnv_u64(h, link.to().value());
-    h = fnv_u64(h, delivered ? 1 : 0);
+    Fnv1a record{kRecordBasis};
+    record.feed_u64(static_cast<std::uint64_t>(at.time_since_epoch().count()));
+    record.feed_u64(link.from().value());
+    record.feed_u64(link.to().value());
+    record.feed_u64(delivered ? 1 : 0);
     const std::vector<std::uint8_t> bytes = encode(packet);
-    h = fnv_u64(h, bytes.size());
-    for (std::uint8_t b : bytes) {
-        h ^= b;
-        h *= kFnvPrime;
-    }
-    sum += h;
+    record.feed_u64(bytes.size());
+    record.feed(bytes.data(), bytes.size());
+    sum += record.h;
     ++packets;
-    chained = fnv_u64(chained ^ h, packets);
+    Fnv1a chain{chained ^ record.h};
+    chain.feed_u64(packets);
+    chained = chain.h;
 }
 
 std::vector<std::uint32_t> resolve_site_shard(const ShardRunConfig& cfg) {
@@ -137,8 +121,8 @@ void init_shard_domain(ShardDomain& dom, const ShardRunConfig& cfg,
     net.set_remote_sink([ob = &dom.outbox](Network::RemoteEvent&& ev) {
         (*ob)[ev.target_shard].push_back(std::move(ev));
     });
-    // Surface the barrier-stall series to the PR 5 sampler (add_level on
-    // "shard.barrier_wait_ns"); written by this shard's own thread only.
+    // Surface the window-stall series (time blocked on the coordinator pipe)
+    // to the sampler's add_level on "shard.barrier_wait_ns".
     dom.scenario->metrics().gauge_fn("shard.barrier_wait_ns",
                                      [w = &dom.wait_ns] { return *w; });
     if (cfg.setup) cfg.setup(*dom.scenario, shard);
@@ -171,17 +155,17 @@ ShardResult run_unsharded(const ShardRunConfig& cfg) {
     r.windows = 1;
     r.window = cfg.run_for;
     const std::uint64_t w0 = wall_ns_now();
-    const std::uint64_t c0 = cpu_ns_now(RUSAGE_SELF);
+    const std::uint64_t c0 = cpu_ns_now();
     dom.scenario->run_for(cfg.run_for);
     r.cpu_seconds_max_shard =
-        static_cast<double>(cpu_ns_now(RUSAGE_SELF) - c0) * 1e-9;
+        static_cast<double>(cpu_ns_now() - c0) * 1e-9;
     r.wall_seconds = static_cast<double>(wall_ns_now() - w0) * 1e-9;
     collect_shard(r, dom);
     return r;
 }
 
 // ---------------------------------------------------------------------------
-// In-process drivers
+// In-process driver
 // ---------------------------------------------------------------------------
 
 ShardResult run_sharded_inline(const ShardRunConfig& cfg) {
@@ -199,9 +183,9 @@ ShardResult run_sharded_inline(const ShardRunConfig& cfg) {
     // One thread runs every shard in turn, so a RUSAGE_SELF delta around
     // each domain's slice attributes that CPU to that domain alone.
     const auto charge = [](ShardDomain& d, const auto& work) {
-        const std::uint64_t c0 = cpu_ns_now(RUSAGE_SELF);
+        const std::uint64_t c0 = cpu_ns_now();
         work();
-        d.cpu_ns += cpu_ns_now(RUSAGE_SELF) - c0;
+        d.cpu_ns += cpu_ns_now() - c0;
     };
 
     const std::uint64_t w0 = wall_ns_now();
@@ -235,75 +219,6 @@ ShardResult run_sharded_inline(const ShardRunConfig& cfg) {
         charge(d, [&] { d.scenario->run_until(deadline); });
     r.wall_seconds = static_cast<double>(wall_ns_now() - w0) * 1e-9;
 
-    for (const ShardDomain& d : doms) {
-        collect_shard(r, d);
-        r.cpu_seconds_max_shard = std::max(
-            r.cpu_seconds_max_shard, static_cast<double>(d.cpu_ns) * 1e-9);
-    }
-    return r;
-}
-
-ShardResult run_sharded_threads(const ShardRunConfig& cfg) {
-    const std::uint32_t n = cfg.shards;
-    const std::vector<std::uint32_t> site_shard = resolve_site_shard(cfg);
-    // Serial construction (the builders share no state, but building 10M-node
-    // domains concurrently just thrashes one machine's allocator anyway).
-    std::vector<ShardDomain> doms(n);
-    for (std::uint32_t s = 0; s < n; ++s)
-        init_shard_domain(doms[s], cfg, site_shard, s, n);
-
-    ShardResult r;
-    r.window = resolve_window(cfg, *doms[0].scenario);
-    const TimePoint t0 = doms[0].scenario->simulator().now();
-    const TimePoint deadline = t0 + cfg.run_for;
-    const std::uint64_t wins =
-        static_cast<std::uint64_t>((cfg.run_for.count() + r.window.count() - 1) /
-                                   r.window.count());
-    r.windows = std::max<std::uint64_t>(wins, 1);
-
-    std::barrier bar(static_cast<std::ptrdiff_t>(n));
-    auto sync = [&bar](ShardDomain& me) {
-        const std::uint64_t b0 = wall_ns_now();
-        bar.arrive_and_wait();
-        me.wait_ns += wall_ns_now() - b0;
-    };
-
-    const std::uint64_t w0 = wall_ns_now();
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (std::uint32_t s = 0; s < n; ++s) {
-        threads.emplace_back([&, s] {
-            ShardDomain& me = doms[s];
-            const std::uint64_t c0 = cpu_ns_now(kThreadUsage);
-            TimePoint t = t0;
-            while (t < deadline) {
-                const TimePoint bound = std::min(t + r.window, deadline);
-                const std::uint64_t wait0 = me.wait_ns;
-                me.scenario->simulator().run_before(bound);
-                sync(me);  // every outbox row of this window is complete
-                for (std::uint32_t i = 0; i < n; ++i) {
-                    std::vector<Network::RemoteEvent>& in = doms[i].outbox[s];
-                    for (const Network::RemoteEvent& ev : in)
-                        me.scenario->network().inject_remote(ev);
-                    in.clear();
-                }
-                sync(me);  // every inbox consumed before the next window writes
-                me.window_wait_ns.push_back(me.wait_ns - wait0);
-                t = bound;
-            }
-            me.scenario->run_until(deadline);
-            me.cpu_ns = cpu_ns_now(kThreadUsage) - c0;
-        });
-    }
-    for (std::thread& th : threads) th.join();
-    const std::uint64_t wall = wall_ns_now() - w0;
-    r.wall_seconds = static_cast<double>(wall) * 1e-9;
-
-    std::uint64_t waited = 0;
-    for (const ShardDomain& d : doms) waited += d.wait_ns;
-    if (wall > 0)
-        r.stall_fraction =
-            static_cast<double>(waited) / (static_cast<double>(wall) * n);
     for (const ShardDomain& d : doms) {
         collect_shard(r, d);
         r.cpu_seconds_max_shard = std::max(

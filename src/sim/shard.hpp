@@ -18,14 +18,9 @@
 // delivery times.  The runners assert nothing themselves; they expose an
 // order-independent packet-trace digest the tests and benches A/B.
 //
-// Three drivers share the same window protocol:
-//   * run_sharded_inline    -- one thread round-robins the shards (the
+// Two drivers share the same window protocol:
+//   * run_sharded_inline    -- one process round-robins the shards (the
 //                              reference implementation of the protocol).
-//   * run_sharded_threads   -- one thread per shard, two std::barrier
-//                              phases per window (TSan-clean: outbox rows
-//                              are written only by their producer before
-//                              the first barrier and consumed only by
-//                              their target between the barriers).
 //   * run_sharded_processes -- fork one child per shard; the coordinator
 //                              routes length-prefixed batch frames over
 //                              socketpairs (transport/frame.hpp) and merges
@@ -89,8 +84,7 @@ struct TraceDigest {
 struct ShardRunConfig {
     /// Base scenario every shard instantiates.  site_shard / shard_self are
     /// filled in per shard; `observer` must be null when `make_observer` is
-    /// set (each shard needs its own instance -- threads would race on a
-    /// shared one).
+    /// set (each shard needs its own instance).
     ScenarioConfig scenario;
     std::uint32_t shards = 1;
     /// Explicit site->shard map; empty = ShardPlan::contiguous.
@@ -126,13 +120,13 @@ struct ShardResult {
     std::uint64_t remote_drops = 0;
     std::uint64_t windows = 0;
     Duration window = Duration::zero();  ///< lookahead actually used
-    /// Fraction of shard wall time spent blocked on the window barrier
-    /// (threads) or the coordinator pipe (processes); 0 for inline/single.
+    /// Fraction of shard wall time spent blocked on the coordinator pipe
+    /// (processes); 0 for inline/single.
     double stall_fraction = 0.0;
     double wall_seconds = 0.0;
     /// CPU seconds burned by the busiest shard during the window loop
-    /// (getrusage deltas: per child process, per shard thread, per domain
-    /// slice for the inline driver).  deliveries / cpu_seconds_max_shard is
+    /// (getrusage deltas: per child process, per domain slice for the
+    /// inline driver).  deliveries / cpu_seconds_max_shard is
     /// the core-count-independent throughput bound -- what the run sustains
     /// once every shard has a core of its own, which wall time on a
     /// timesharing box cannot show.
@@ -158,8 +152,8 @@ struct ShardResult {
     /// Wall-time trace spans per shard (only when ShardRunConfig::
     /// collect_trace; process driver ships the children's rings).
     std::vector<std::vector<obs::PortableSpan>> shard_spans;
-    /// Window-protocol profile: per-shard per-window ns blocked at the
-    /// barrier (threads) / on the coordinator pipe (processes), and the
+    /// Window-protocol profile: per-shard per-window ns blocked on the
+    /// coordinator pipe (processes), and the
     /// coordinator's per-window splice/injection time.
     std::vector<std::vector<std::uint64_t>> shard_window_wait_ns;
     std::vector<std::uint64_t> window_splice_ns;
@@ -176,7 +170,6 @@ struct ShardResult {
 /// digest bit for bit.
 ShardResult run_unsharded(const ShardRunConfig& cfg);
 ShardResult run_sharded_inline(const ShardRunConfig& cfg);
-ShardResult run_sharded_threads(const ShardRunConfig& cfg);
 ShardResult run_sharded_processes(const ShardRunConfig& cfg);  // shard_proc.cpp
 
 // --- building blocks (shared by the drivers and the tests) ----------------
@@ -188,7 +181,7 @@ struct ShardDomain {
     TraceDigest digest;
     /// Boundary-crossing arrivals emitted this window, per target shard.
     std::vector<std::vector<Network::RemoteEvent>> outbox;
-    std::uint64_t wait_ns = 0;  ///< time blocked at barriers / on the pipe
+    std::uint64_t wait_ns = 0;  ///< time blocked on the coordinator pipe
     std::uint64_t cpu_ns = 0;   ///< CPU consumed inside the window loop
     /// Per-window deltas of wait_ns (the window-protocol profile).
     std::vector<std::uint64_t> window_wait_ns;

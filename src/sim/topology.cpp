@@ -25,7 +25,7 @@ DisTopologySize dis_topology_size(const DisTopologySpec& spec) {
     DisTopologySize size;
     // backbone + source router + source + primary, replicas, region
     // router + logger pairs, then per site: router + secondary? + receivers.
-    size.nodes = 3 + spec.replicas + 2 * region_count +
+    size.nodes = 4 + spec.replicas + 2 * region_count +
                  static_cast<std::size_t>(spec.sites) *
                      (1 + secondaries + spec.receivers_per_site);
     // Every node except the backbone hub adds exactly one cable.

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "runtime/protocol_host.hpp"
 #include "sim/chaos.hpp"
 #include "sim/loss_model.hpp"
@@ -284,21 +285,6 @@ struct Trace {
     std::uint64_t packet_hash = 0;  ///< FNV-1a over every link transmission
 
     friend bool operator==(const Trace& a, const Trace& b) = default;
-};
-
-struct Fnv1a {
-    std::uint64_t h = 14695981039346656037ULL;
-    void feed(const void* data, std::size_t n) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ULL;
-        }
-    }
-    template <typename T>
-    void feed_value(T v) {
-        feed(&v, sizeof v);
-    }
 };
 
 /// Human-readable first divergence between two traces (failure diagnostics:

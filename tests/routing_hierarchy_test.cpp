@@ -1,12 +1,11 @@
-// A/B identity tests for the two routing schemes (DESIGN.md "Hierarchical
-// routing"): the hierarchical site/backbone tables must produce exactly the
-// paths, delivery times, drop decisions and RNG draw order of the flat
-// O(n^2) matrices on every workload here -- all on topologies with unique
-// shortest paths, the scope of the identity guarantee (see DESIGN.md,
-// tie-breaking).  Each test runs the identical scenario
-// under both schemes (SimConfig::flat_routes, the LBRM_SIM_FLAT_ROUTES
-// escape hatch's programmatic form) and compares full fingerprints --
-// per-packet tap traces or end-to-end protocol records -- for equality.
+// Hierarchical routing (DESIGN.md "Hierarchical routing") against the
+// brute-force reference in tests/routing_reference.hpp.  Every test checks
+// Network::next_hop for every (from, to) pair and the tap path of each
+// unicast and multicast it sends against an all-pairs Dijkstra over the
+// same links, metric and liveness rule -- on the plain DIS topology, the
+// regional tier, the 20-site protocol scenario and a two-corridor network
+// whose router goes down before and after a re-finalize.  All topologies
+// here have unique shortest paths, the scope of the exact comparison.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,14 +15,20 @@
 #include "sim/network.hpp"
 #include "sim/scenario.hpp"
 #include "sim/topology.hpp"
+#include "tests/routing_reference.hpp"
 
 namespace {
 
 using namespace lbrm;
 using namespace lbrm::sim;
+using lbrm::test::expect_multicast_follows;
+using lbrm::test::expect_next_hops_match;
+using lbrm::test::expect_unicast_follows;
+using lbrm::test::RoutingReference;
+using lbrm::test::TapHop;
 
-/// One tap observation, exact to the nanosecond: enough to detect any
-/// divergence in path choice, timing, ordering or loss decisions.
+/// One tap observation, exact to the nanosecond (the path-cache A/B below
+/// compares whole traces).
 struct TapEvent {
     std::int64_t at_ns;
     std::uint32_t from;
@@ -31,10 +36,7 @@ struct TapEvent {
     std::uint8_t type;
     bool delivered;
 
-    bool operator==(const TapEvent& o) const {
-        return at_ns == o.at_ns && from == o.from && to == o.to && type == o.type &&
-               delivered == o.delivered;
-    }
+    bool operator==(const TapEvent&) const = default;
 };
 
 void record_taps(Network& net, std::vector<TapEvent>& out) {
@@ -45,94 +47,129 @@ void record_taps(Network& net, std::vector<TapEvent>& out) {
     });
 }
 
-// --- raw-network A/B: scoped multicast + unicast on the DIS topology --------
+void record_hops(Network& net, std::vector<TapHop>& out) {
+    net.set_tap([&out](TimePoint, const Link& link, const Packet&, bool delivered) {
+        out.push_back(TapHop{link.from(), link.to(), delivered});
+    });
+}
 
-/// Fire a mixed workload (global/site/region multicast from several senders
-/// plus cross-site unicasts) and return the full tap trace.
-std::vector<TapEvent> run_network_workload(bool flat, std::uint32_t sites_per_region) {
+/// Network::build_tree's hop limit for McastScope::kRegion.
+constexpr std::size_t kRegionHops = 4;
+
+/// The members a scoped multicast from `from` reaches under the reference:
+/// every member but the sender, limited to reference paths that stay in the
+/// sender's site (kSite) or take at most kRegionHops hops (kRegion).
+std::vector<NodeId> scoped_members(const Network& net, const RoutingReference& ref,
+                                   NodeId from, const std::vector<NodeId>& members,
+                                   McastScope scope) {
+    std::vector<NodeId> out;
+    for (const NodeId m : members) {
+        if (m == from) continue;
+        const std::vector<NodeId> path = ref.path(from, m);
+        if (path.empty()) continue;
+        if (scope == McastScope::kRegion && path.size() - 1 > kRegionHops) continue;
+        if (scope == McastScope::kSite) {
+            bool stays = true;
+            for (const NodeId n : path) stays = stays && net.site_of(n) == net.site_of(from);
+            if (!stays) continue;
+        }
+        out.push_back(m);
+    }
+    return out;
+}
+
+// --- the DIS topology: scoped multicast + unicast ---------------------------
+
+/// Every next hop, then a mixed workload -- global/site/region multicast
+/// from several senders plus cross-site unicasts, one at a time -- with each
+/// send's tap path checked against the reference.  Light Bernoulli loss on
+/// one tail exercises the pruning below a dropped hop.
+void check_dis_workload(std::uint32_t sites_per_region) {
     Simulator sim;
-    SimConfig config;
-    config.flat_routes = flat;
-    Network net{sim, 1234, config};
+    Network net{sim, 1234};
     DisTopologySpec spec;
     spec.sites = 6;
     spec.receivers_per_site = 4;
     spec.sites_per_region = sites_per_region;
     const DisTopology topo = make_dis_topology(net, spec);
     net.finalize();
+    const RoutingReference ref{net};
+    expect_next_hops_match(net, ref);
 
-    // Light Bernoulli loss on one tail so RNG draw order is part of the
-    // fingerprint, not just the deterministic paths.  Site 2's upstream is
-    // the backbone, or its region's router when the regional tier exists.
     const NodeId upstream = sites_per_region > 0
                                 ? topo.regions[2 / sites_per_region].router
                                 : topo.backbone;
     net.set_loss(upstream, topo.sites[2].router, std::make_unique<BernoulliLoss>(0.2));
 
     const GroupId group{1};
-    for (NodeId r : topo.all_receivers()) net.join(group, r);
-    for (const auto& site : topo.sites)
-        if (site.secondary != kNoNode) net.join(group, site.secondary);
+    std::vector<NodeId> members = topo.all_receivers();
+    for (const auto& site : topo.sites) members.push_back(site.secondary);
+    for (const NodeId m : members) net.join(group, m);
 
-    std::vector<TapEvent> taps;
-    record_taps(net, taps);
+    std::vector<TapHop> taps;
+    record_hops(net, taps);
 
     std::uint32_t seq = 0;
-    auto send = [&](NodeId from, McastScope scope) {
+    auto multicast = [&](NodeId from, McastScope scope) {
+        taps.clear();
         net.multicast(from,
                       Packet{Header{group, topo.source, from},
                              DataBody{SeqNum{++seq}, EpochId{0}, {1, 2, 3}}},
                       scope);
-        sim.run_for(millis(50));
+        sim.run_for(secs(1.0));
+        const std::vector<NodeId> reached = scoped_members(net, ref, from, members, scope);
+        ASSERT_FALSE(reached.empty());
+        expect_multicast_follows(ref, from, reached, taps);
     };
-    send(topo.source, McastScope::kGlobal);
-    send(topo.sites[0].secondary, McastScope::kSite);
-    send(topo.sites[3].secondary, McastScope::kRegion);
-    send(topo.sites[5].receivers[0], McastScope::kGlobal);
-    net.unicast(topo.sites[1].receivers[2], topo.sites[4].receivers[3],
-                Packet{Header{group, topo.source, topo.sites[1].receivers[2]},
-                       PrimaryQueryBody{}});
-    net.unicast(topo.sites[4].receivers[1], topo.source,
-                Packet{Header{group, topo.source, topo.sites[4].receivers[1]},
-                       PrimaryQueryBody{}});
-    sim.run_for(secs(1.0));
-    return taps;
+    auto unicast = [&](NodeId from, NodeId to) {
+        taps.clear();
+        net.unicast(from, to, Packet{Header{group, topo.source, from}, PrimaryQueryBody{}});
+        sim.run_for(secs(1.0));
+        expect_unicast_follows(ref, from, to, taps);
+    };
+    multicast(topo.source, McastScope::kGlobal);
+    multicast(topo.sites[0].secondary, McastScope::kSite);
+    multicast(topo.sites[3].secondary, McastScope::kRegion);
+    multicast(topo.sites[5].receivers[0], McastScope::kGlobal);
+    unicast(topo.sites[1].receivers[2], topo.sites[4].receivers[3]);
+    unicast(topo.sites[4].receivers[1], topo.source);
+    unicast(topo.replicas[0], topo.sites[3].secondary);
 }
 
 TEST(RoutingAB, ScopedMulticastAndUnicastTraceIdentical) {
-    const auto hier = run_network_workload(/*flat=*/false, /*sites_per_region=*/0);
-    const auto flat = run_network_workload(/*flat=*/true, /*sites_per_region=*/0);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
+    check_dis_workload(/*sites_per_region=*/0);
 }
 
 TEST(RoutingAB, RegionalTierTraceIdentical) {
-    const auto hier = run_network_workload(/*flat=*/false, /*sites_per_region=*/2);
-    const auto flat = run_network_workload(/*flat=*/true, /*sites_per_region=*/2);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
+    check_dis_workload(/*sites_per_region=*/2);
 }
 
-// --- full-protocol A/B: the 20-site scenario ---------------------------------
+// --- the 20-site protocol scenario ------------------------------------------
 
 struct ScenarioFingerprint {
     std::vector<std::string> deliveries;
     std::vector<std::string> notices;
     std::uint64_t events_processed = 0;
+
+    bool operator==(const ScenarioFingerprint&) const = default;
 };
 
-ScenarioFingerprint run_scenario(bool flat) {
+/// The 20-site scenario with loss on two tails, so the whole recovery
+/// machinery (NACKs, repairs, heartbeats, stat-acks) runs.  `check_routes`
+/// compares every next hop with the reference before any traffic, which
+/// builds every site row up front; otherwise rows are built as traffic
+/// first touches them.
+ScenarioFingerprint run_scenario(bool check_routes) {
     ScenarioConfig config;
     config.topology.sites = 20;
     config.topology.receivers_per_site = 5;
-    config.sim.flat_routes = flat;
     config.seed = 99;
     DisScenario scenario(config);
+    if (check_routes) {
+        expect_next_hops_match(scenario.network(), RoutingReference{scenario.network()});
+        EXPECT_EQ(scenario.network().site_rows_built(), scenario.network().node_count());
+    }
 
-    // Loss on two tails so the whole recovery machinery (NACKs, repairs,
-    // heartbeats, stat-acks) runs and its RNG draws enter the fingerprint.
     scenario.network().set_loss(scenario.topology().backbone,
                                 scenario.topology().sites[4].router,
                                 std::make_unique<BernoulliLoss>(0.3));
@@ -163,12 +200,12 @@ ScenarioFingerprint run_scenario(bool flat) {
 }
 
 TEST(RoutingAB, TwentySiteScenarioBitIdentical) {
-    const ScenarioFingerprint hier = run_scenario(/*flat=*/false);
-    const ScenarioFingerprint flat = run_scenario(/*flat=*/true);
-    EXPECT_EQ(hier.events_processed, flat.events_processed);
-    ASSERT_EQ(hier.deliveries.size(), flat.deliveries.size());
-    EXPECT_EQ(hier.deliveries, flat.deliveries);
-    EXPECT_EQ(hier.notices, flat.notices);
+    // Routes match the reference, and the protocol run is the same whether
+    // every row was built before traffic or each on its first touch.
+    const ScenarioFingerprint all_rows = run_scenario(/*check_routes=*/true);
+    const ScenarioFingerprint on_touch = run_scenario(/*check_routes=*/false);
+    ASSERT_GT(all_rows.deliveries.size(), 0u);
+    EXPECT_EQ(all_rows, on_touch);
 }
 
 // --- downed router forcing a backbone detour ---------------------------------
@@ -179,17 +216,15 @@ TEST(RoutingAB, TwentySiteScenarioBitIdentical) {
 ///        \___ a_r2 ---- b_r2 ___/
 ///
 /// The r1 corridor is faster, so traffic prefers it; downing a_r1 and
-/// re-finalizing must detour everything over the r2 corridor, in both
-/// schemes, with identical traces.
+/// re-finalizing must detour everything over the r2 corridor.
 struct DetourNet {
     Simulator sim;
     Network net;
     NodeId a_host, a_r1, a_r2, b_host, b_r1, b_r2;
 
-    explicit DetourNet(bool flat, std::size_t path_cache_capacity = 65536)
+    explicit DetourNet(std::size_t path_cache_capacity = 65536)
         : net(sim, 7, [&] {
               SimConfig c;
-              c.flat_routes = flat;
               c.path_cache_capacity = path_cache_capacity;
               return c;
           }()) {
@@ -211,42 +246,46 @@ struct DetourNet {
     }
 };
 
-std::vector<TapEvent> run_detour(bool flat) {
-    DetourNet d(flat);
+/// A multicast a_host -> {b_host} then a unicast b_host -> a_host, each
+/// checked against `ref`; `dies_at` is a router downed since the last
+/// finalize() (traffic is still routed into it).
+void send_and_check(DetourNet& d, const RoutingReference& ref, std::uint32_t seq,
+                    NodeId dies_at = kNoNode) {
     const GroupId group{1};
-    d.net.join(group, d.b_host);
-
-    std::vector<TapEvent> taps;
-    record_taps(d.net, taps);
-
-    auto send = [&](std::uint32_t seq) {
-        d.net.multicast(d.a_host,
-                        Packet{Header{group, d.a_host, d.a_host},
-                               DataBody{SeqNum{seq}, EpochId{0}, {9}}},
-                        McastScope::kGlobal);
-        d.net.unicast(d.b_host, d.a_host,
-                      Packet{Header{group, d.a_host, d.b_host}, PrimaryQueryBody{}});
-        d.sim.run_for(secs(1.0));
-    };
-    send(1);  // via the r1 corridor
-
-    d.net.set_node_down(d.a_r1, true);
-    d.net.finalize();  // reconverge: a_r1 no longer relays
-    send(2);  // must detour via r2
-
-    return taps;
+    std::vector<TapHop> taps;
+    record_hops(d.net, taps);
+    d.net.multicast(d.a_host,
+                    Packet{Header{group, d.a_host, d.a_host},
+                           DataBody{SeqNum{seq}, EpochId{0}, {9}}},
+                    McastScope::kGlobal);
+    d.sim.run_for(secs(1.0));
+    expect_multicast_follows(ref, d.a_host, {d.b_host}, taps, dies_at);
+    taps.clear();
+    d.net.unicast(d.b_host, d.a_host,
+                  Packet{Header{group, d.a_host, d.b_host}, PrimaryQueryBody{}});
+    d.sim.run_for(secs(1.0));
+    expect_unicast_follows(ref, d.b_host, d.a_host, taps, dies_at);
+    d.net.set_tap({});
 }
 
 TEST(RoutingAB, DownedRouterForcesIdenticalBackboneDetour) {
-    const auto hier = run_detour(/*flat=*/false);
-    const auto flat = run_detour(/*flat=*/true);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
+    DetourNet d;
+    d.net.join(GroupId{1}, d.b_host);
+    const RoutingReference up{d.net};
+    expect_next_hops_match(d.net, up);
+    send_and_check(d, up, 1);  // via the r1 corridor
+
+    d.net.set_node_down(d.a_r1, true);
+    d.net.finalize();  // reconverge: a_r1 no longer relays
+    const RoutingReference down{d.net, {d.a_r1}};
+    expect_next_hops_match(d.net, down);
+    send_and_check(d, down, 2);  // must detour via r2, both ways
+    EXPECT_EQ(d.net.link(d.a_r2, d.b_r2)->stats().packets, 1u);
+    EXPECT_EQ(d.net.link(d.b_r2, d.a_r2)->stats().packets, 1u);
 }
 
 TEST(Routing, DownedRouterDetourUsesBackupCorridor) {
-    DetourNet d(/*flat=*/false);
+    DetourNet d;
     const GroupId group{1};
     d.net.join(group, d.b_host);
     auto send = [&](std::uint32_t seq) {
@@ -277,13 +316,13 @@ TEST(Routing, DownedRouterDetourUsesBackupCorridor) {
 
 // --- set_node_down without re-finalize: blackhole semantics ------------------
 
-/// Routes must be a pure function of the last finalize() in both schemes:
-/// a mid-run set_node_down changes nothing (packets blackhole into the
-/// downed border) until finalize() reconverges.  Regression for a bug
-/// where compose_hop read live down flags, so hierarchical routes shifted
-/// immediately -- and differently for cached vs freshly-composed hops.
-std::vector<TapEvent> run_down_no_refinalize(bool flat, std::size_t path_cache_cap) {
-    DetourNet d(flat, path_cache_cap);
+/// Routes must be a pure function of the last finalize(): a mid-run
+/// set_node_down changes nothing (packets blackhole into the downed border)
+/// until finalize() reconverges.  Regression for a bug where compose_hop
+/// read live down flags, so routes shifted immediately -- and differently
+/// for cached vs freshly-composed hops.
+std::vector<TapEvent> run_down_no_refinalize(std::size_t path_cache_cap) {
+    DetourNet d(path_cache_cap);
     const GroupId group{1};
     d.net.join(group, d.b_host);
 
@@ -311,26 +350,34 @@ std::vector<TapEvent> run_down_no_refinalize(bool flat, std::size_t path_cache_c
 }
 
 TEST(RoutingAB, DownWithoutRefinalizeTraceIdentical) {
-    const auto hier = run_down_no_refinalize(/*flat=*/false, 65536);
-    const auto flat = run_down_no_refinalize(/*flat=*/true, 65536);
-    ASSERT_EQ(hier.size(), flat.size());
-    for (std::size_t i = 0; i < hier.size(); ++i)
-        ASSERT_TRUE(hier[i] == flat[i]) << "trace diverges at event " << i;
+    DetourNet d;
+    d.net.join(GroupId{1}, d.b_host);
+    const RoutingReference up{d.net};
+    send_and_check(d, up, 1);  // primes the path cache through r1
+
+    d.net.set_node_down(d.a_r1, true);
+    expect_next_hops_match(d.net, up);  // the finalize-time tables still rule
+    send_and_check(d, up, 2, /*dies_at=*/d.a_r1);
+
+    d.net.finalize();
+    const RoutingReference down{d.net, {d.a_r1}};
+    expect_next_hops_match(d.net, down);
+    send_and_check(d, down, 3);
 }
 
 TEST(Routing, PathCacheCapacityNeverChangesOutcomes) {
     // Unbounded, single-entry (every lookup evicts) and default-sized
     // caches must produce the same trace, even across a down transition
     // that is not yet finalized -- cached and freshly-composed hops agree.
-    const auto unbounded = run_down_no_refinalize(/*flat=*/false, 0);
-    const auto tiny = run_down_no_refinalize(/*flat=*/false, 1);
-    const auto roomy = run_down_no_refinalize(/*flat=*/false, 65536);
+    const auto unbounded = run_down_no_refinalize(0);
+    const auto tiny = run_down_no_refinalize(1);
+    const auto roomy = run_down_no_refinalize(65536);
     EXPECT_EQ(unbounded, tiny);
     EXPECT_EQ(unbounded, roomy);
 }
 
 TEST(Routing, DownedRouterBlackholesUntilRefinalize) {
-    DetourNet d(/*flat=*/false);
+    DetourNet d;
     const GroupId group{1};
     d.net.join(group, d.b_host);
     auto send = [&](std::uint32_t seq) {
@@ -361,17 +408,13 @@ TEST(Routing, HierarchicalIsDefaultAndReportsTables) {
     DisTopologySpec spec;
     spec.sites = 3;
     spec.receivers_per_site = 2;
-    make_dis_topology(net, spec);
+    const DisTopology topo = make_dis_topology(net, spec);
+    EXPECT_THROW((void)net.next_hop(topo.source, topo.backbone), std::logic_error);
     net.finalize();
-    EXPECT_FALSE(net.flat_routes());
     EXPECT_GT(net.routing_table_bytes(), 0u);
-
-    SimConfig config;
-    config.flat_routes = true;
-    Network flat_net{sim, 1, config};
-    make_dis_topology(flat_net, spec);
-    flat_net.finalize();
-    EXPECT_TRUE(flat_net.flat_routes());
+    EXPECT_GT(net.site_rows_built(), 0u);
+    EXPECT_EQ(net.next_hop(topo.source, topo.source), kNoNode);
+    EXPECT_EQ(net.next_hop(topo.source, topo.sites[1].receivers[0]), topo.source_router);
 }
 
 }  // namespace

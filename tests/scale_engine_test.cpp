@@ -1,7 +1,8 @@
 // Scale-engine tests (DESIGN.md "Scale engineering"): the struct-of-arrays
-// node store, the serial/parallel/lazy finalize modes and the pluggable
-// scenario observer must all be invisible to results -- every mode and every
-// observer produces bit-identical routing tables and protocol traces.
+// node store, the lazily built site-table rows and the pluggable scenario
+// observer must all be invisible to results.  Rows are checked against the
+// brute-force reference (tests/routing_reference.hpp) whenever they are
+// built: after a mid-run set_node_down, after a cable re-spec, in any order.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,11 +15,16 @@
 #include "sim/observer.hpp"
 #include "sim/scenario.hpp"
 #include "sim/topology.hpp"
+#include "tests/routing_reference.hpp"
 
 namespace {
 
 using namespace lbrm;
 using namespace lbrm::sim;
+using lbrm::test::expect_next_hops_match;
+using lbrm::test::expect_unicast_follows;
+using lbrm::test::RoutingReference;
+using lbrm::test::TapHop;
 
 // --- StableVector ------------------------------------------------------------
 
@@ -97,51 +103,53 @@ TEST(NetworkLink, SiteAndRouterFlagsSurviveSoAStorage) {
     EXPECT_EQ(net.link_count(), 2u);  // one cable = two directed links
 }
 
-// --- finalize-mode determinism ----------------------------------------------
+// --- DisTopologySize ---------------------------------------------------------
 
-std::uint64_t table_hash(SimFinalizeMode mode, unsigned threads,
-                         std::uint32_t sites_per_region = 0) {
-    Simulator sim;
-    SimConfig config;
-    config.finalize_mode = mode;
-    config.finalize_threads = threads;
-    Network net{sim, 5, config};
-    DisTopologySpec spec;
-    spec.sites = 12;
-    spec.receivers_per_site = 6;
-    spec.sites_per_region = sites_per_region;
-    make_dis_topology(net, spec);
-    net.finalize();
-    EXPECT_EQ(net.finalize_mode(), mode);
-    return net.routing_table_hash();
+TEST(DisTopologySize, MatchesTheBuiltTopology) {
+    auto spec_of = [](std::uint32_t sites_per_region, std::uint32_t replicas,
+                      bool secondaries) {
+        DisTopologySpec spec;
+        spec.sites = 7;
+        spec.receivers_per_site = 3;
+        spec.sites_per_region = sites_per_region;
+        spec.replicas = replicas;
+        spec.secondary_logger_per_site = secondaries;
+        return spec;
+    };
+    const DisTopologySpec specs[] = {spec_of(0, 1, true), spec_of(3, 1, true),
+                                     spec_of(0, 0, true), spec_of(2, 2, false),
+                                     spec_of(0, 3, false)};
+    for (const DisTopologySpec& spec : specs) {
+        Simulator sim;
+        Network net{sim, 1};
+        const DisTopology topo = make_dis_topology(net, spec);
+        std::size_t hosts = 2 + topo.replicas.size() + topo.regions.size();
+        for (const auto& site : topo.sites)
+            hosts += site.receivers.size() + (site.secondary != kNoNode ? 1 : 0);
+
+        const DisTopologySize size = dis_topology_size(spec);
+        const std::string which = "regions/" + std::to_string(spec.sites_per_region) +
+                                  " replicas " + std::to_string(spec.replicas) +
+                                  " secondaries " +
+                                  std::to_string(spec.secondary_logger_per_site);
+        EXPECT_EQ(size.nodes, net.node_count()) << which;
+        EXPECT_EQ(size.directed_links, net.link_count()) << which;
+        EXPECT_EQ(size.hosts, hosts) << which;
+    }
 }
 
-TEST(FinalizeModes, TableHashIdenticalAcrossSerialParallelLazy) {
-    const std::uint64_t serial = table_hash(SimFinalizeMode::kSerial, 0);
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 1));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 2));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 8));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kLazy, 0));
-}
-
-TEST(FinalizeModes, TableHashIdenticalWithRegionalTier) {
-    const std::uint64_t serial = table_hash(SimFinalizeMode::kSerial, 0, 3);
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kParallel, 8, 3));
-    EXPECT_EQ(serial, table_hash(SimFinalizeMode::kLazy, 0, 3));
-}
+// --- lazy site-table rows ----------------------------------------------------
 
 TEST(FinalizeModes, LazyMaterialisesRowsOnDemand) {
     Simulator sim;
-    SimConfig config;
-    config.finalize_mode = SimFinalizeMode::kLazy;
-    Network net{sim, 5, config};
+    Network net{sim, 5};
     DisTopologySpec spec;
     spec.sites = 8;
     spec.receivers_per_site = 10;
     const DisTopology topo = make_dis_topology(net, spec);
     net.finalize();
 
-    // Only border rows were built eagerly (one per site router here).
+    // Only border rows were built by finalize() (one per site router here).
     const std::size_t after_finalize = net.site_rows_built();
     EXPECT_GT(after_finalize, 0u);
     EXPECT_LT(after_finalize, net.node_count());
@@ -155,81 +163,86 @@ TEST(FinalizeModes, LazyMaterialisesRowsOnDemand) {
                   McastScope::kGlobal);
     sim.run_for(secs(1.0));
     EXPECT_GT(net.site_rows_built(), after_finalize);
+    EXPECT_LT(net.site_rows_built(), net.node_count());
 
-    // Hashing forces the rest; a serial build of the same topology ends at
-    // the same row count and the same bytes.
+    // Hashing forces the rest: one row per node.
     (void)net.routing_table_hash();
-    Simulator sim2;
-    Network serial_net{sim2, 5};
-    make_dis_topology(serial_net, spec);
-    serial_net.finalize();
-    EXPECT_EQ(net.site_rows_built(), serial_net.site_rows_built());
+    EXPECT_EQ(net.site_rows_built(), net.node_count());
 }
 
-// --- finalize-mode full-protocol trace A/B -----------------------------------
-
-struct ScenarioFingerprint {
-    std::vector<std::string> deliveries;
-    std::vector<std::string> notices;
-    std::uint64_t events_processed = 0;
-
-    bool operator==(const ScenarioFingerprint&) const = default;
-};
-
-ScenarioFingerprint run_scenario(SimFinalizeMode mode, unsigned threads) {
-    ScenarioConfig config;
-    config.topology.sites = 20;
-    config.topology.receivers_per_site = 5;
-    config.sim.finalize_mode = mode;
-    config.sim.finalize_threads = threads;
-    config.seed = 99;
-    DisScenario scenario(config);
-
-    // Loss on two tails so the whole recovery machinery (NACKs, repairs,
-    // heartbeats, stat-acks) runs and its RNG draws enter the fingerprint.
-    scenario.network().set_loss(scenario.topology().backbone,
-                                scenario.topology().sites[4].router,
-                                std::make_unique<BernoulliLoss>(0.3));
-    scenario.network().set_loss(scenario.topology().backbone,
-                                scenario.topology().sites[11].router,
-                                std::make_unique<BernoulliLoss>(0.3));
-
-    scenario.start();
-    for (int i = 0; i < 20; ++i) {
-        scenario.send_update(128);
-        scenario.run_for(millis(37));
-    }
-    scenario.run_for(secs(10.0));
-
-    ScenarioFingerprint fp;
-    for (const auto& d : scenario.deliveries())
-        fp.deliveries.push_back(std::to_string(d.node.value()) + ":" +
-                                std::to_string(d.seq.value()) + "@" +
-                                std::to_string(d.at.time_since_epoch().count()) +
-                                (d.recovered ? "r" : ""));
-    for (const auto& n : scenario.notices())
-        fp.notices.push_back(std::to_string(n.node.value()) + ":" +
-                             std::to_string(static_cast<int>(n.kind)) + ":" +
-                             std::to_string(n.arg) + "@" +
-                             std::to_string(n.at.time_since_epoch().count()));
-    fp.events_processed = scenario.simulator().events_processed();
-    return fp;
+TEST(LazyRows, BuildOrderNeverChangesTheTables) {
+    // Rows are a pure function of the finalize-time snapshots: building them
+    // back to front through next_hop, or front to back through the hash,
+    // ends at the same bytes.
+    auto build = [](Network& net) {
+        DisTopologySpec spec;
+        spec.sites = 12;
+        spec.receivers_per_site = 6;
+        spec.sites_per_region = 3;
+        make_dis_topology(net, spec);
+        net.finalize();
+    };
+    Simulator sim;
+    Network forward{sim, 5};
+    build(forward);
+    Network backward{sim, 5};
+    build(backward);
+    const auto n = static_cast<std::uint32_t>(backward.node_count());
+    for (std::uint32_t a = n; a >= 1; --a)
+        (void)backward.next_hop(NodeId{a}, NodeId{n + 1 - a});
+    EXPECT_EQ(forward.routing_table_hash(), backward.routing_table_hash());
 }
 
-TEST(FinalizeModes, TwentySiteScenarioBitIdenticalAcrossModes) {
-    const ScenarioFingerprint serial = run_scenario(SimFinalizeMode::kSerial, 0);
-    const ScenarioFingerprint parallel = run_scenario(SimFinalizeMode::kParallel, 8);
-    const ScenarioFingerprint lazy = run_scenario(SimFinalizeMode::kLazy, 0);
-    ASSERT_GT(serial.deliveries.size(), 0u);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_EQ(serial, lazy);
-}
+TEST(LazyRows, RespecAfterFinalizeKeepsFinalizeTimeWeights) {
+    // a_host -- a_mid -+- a_r1 ==fast== b_r -- b_host
+    //                  +- a_r2 ==slow==/
+    // a_mid is interior, so its row is first built when a unicast in flight
+    // reaches it -- after the a_mid/a_r1 cable was re-spec'd to be slow.
+    // Until the next finalize() that row must still route on the
+    // finalize-time weights (via a_r1), like every row built before it.
+    Simulator sim;
+    Network net{sim, 3};
+    const NodeId a_host = net.add_node(SiteId{1});
+    const NodeId a_mid = net.add_node(SiteId{1});
+    const NodeId a_r1 = net.add_node(SiteId{1}, true);
+    const NodeId a_r2 = net.add_node(SiteId{1}, true);
+    const NodeId b_r = net.add_node(SiteId{2}, true);
+    const NodeId b_host = net.add_node(SiteId{2});
+    const LinkSpec fast{millis(1), 0.0, Duration::zero()};
+    const LinkSpec slow{millis(3), 0.0, Duration::zero()};
+    net.add_link(a_host, a_mid, fast);
+    net.add_link(a_mid, a_r1, fast);
+    net.add_link(a_mid, a_r2, fast);
+    net.add_link(a_r1, b_r, fast);
+    net.add_link(a_r2, b_r, slow);
+    net.add_link(b_r, b_host, fast);
+    net.finalize();
+    const RoutingReference at_finalize{net};
 
-// --- lazy rows vs mid-run liveness/topology changes --------------------------
+    std::vector<TapHop> taps;
+    net.set_tap([&taps](TimePoint, const Link& l, const Packet&, bool delivered) {
+        taps.push_back(TapHop{l.from(), l.to(), delivered});
+    });
+    const std::size_t rows_before = net.site_rows_built();
+    net.unicast(a_host, b_host,
+                Packet{Header{GroupId{1}, a_host, a_host}, PrimaryQueryBody{}});
+    sim.run_for(micros(100));  // in flight on a_host -> a_mid
+    net.add_link(a_mid, a_r1, LinkSpec{millis(10), 0.0, Duration::zero()});
+    sim.run_for(secs(1.0));
+    EXPECT_EQ(net.site_rows_built(), rows_before + 2);  // a_host's, then a_mid's
+    expect_unicast_follows(at_finalize, a_host, b_host, taps);
+    expect_next_hops_match(net, at_finalize);
+
+    // Re-finalizing adopts the new weight: the r2 corridor is now shorter.
+    net.finalize();
+    const RoutingReference refinalized{net};
+    expect_next_hops_match(net, refinalized);
+    EXPECT_EQ(net.next_hop(a_mid, b_host), a_r2);
+}
 
 /// Mid-run set_node_down must not leak into rows built lazily afterwards:
-/// they read the finalize-time snapshot, so serial and lazy traces agree
-/// even when a row materialises after the down transition.
+/// they read the finalize-time snapshot, so a row built after the down
+/// transition routes exactly like the reference taken at finalize().
 struct TapEvent {
     std::int64_t at_ns;
     std::uint32_t from;
@@ -238,15 +251,14 @@ struct TapEvent {
     bool operator==(const TapEvent&) const = default;
 };
 
-std::vector<TapEvent> run_down_then_touch(SimFinalizeMode mode,
-                                          std::size_t path_cache_cap) {
+/// Two sites, two corridors; c_host sits in a third site whose rows are only
+/// touched after the down transition.  `check` compares every stage with the
+/// reference; the full trace comes back for the path-cache A/B.
+std::vector<TapEvent> run_down_then_touch(std::size_t path_cache_cap, bool check) {
     Simulator sim;
     SimConfig config;
-    config.finalize_mode = mode;
     config.path_cache_capacity = path_cache_cap;
     Network net{sim, 7, config};
-    // Two sites, two corridors; c_host sits in a third site whose rows are
-    // only touched after the down transition.
     const NodeId a_host = net.add_node(SiteId{1});
     const NodeId a_r1 = net.add_node(SiteId{1}, true);
     const NodeId a_r2 = net.add_node(SiteId{1}, true);
@@ -267,11 +279,18 @@ std::vector<TapEvent> run_down_then_touch(SimFinalizeMode mode,
     net.add_link(c_r, b_r1, slow);
     net.add_link(c_r, a_r1, slow);
     net.finalize();
+    const RoutingReference up{net};
+    if (check) expect_next_hops_match(net, up);
+    // The all-pairs check built every row; start over with only the border
+    // rows, as after any finalize().
+    net.finalize();
 
     std::vector<TapEvent> taps;
-    net.set_tap([&taps](TimePoint t, const Link& link, const Packet&, bool delivered) {
+    std::vector<TapHop> hops;
+    net.set_tap([&](TimePoint t, const Link& link, const Packet&, bool delivered) {
         taps.push_back(TapEvent{t.time_since_epoch().count(), link.from().value(),
                                 link.to().value(), delivered});
+        hops.push_back(TapHop{link.from(), link.to(), delivered});
     });
 
     const GroupId group{1};
@@ -283,36 +302,40 @@ std::vector<TapEvent> run_down_then_touch(SimFinalizeMode mode,
                       McastScope::kGlobal);
         sim.run_for(secs(1.0));
     };
-    send(a_host, 1);  // builds a's rows (lazy) and primes the path cache
+    auto unicast = [&](NodeId from, NodeId to) {
+        hops.clear();
+        net.unicast(from, to, Packet{Header{group, a_host, from}, PrimaryQueryBody{}});
+        sim.run_for(secs(1.0));
+    };
+    send(a_host, 1);  // builds a's rows and primes the path cache
 
     net.set_node_down(a_r1, true);
-    // c's rows have never been touched: under lazy they are built *now*,
-    // after the down transition -- and must still route via a_r1/b_r1
-    // exactly like the serial tables built at finalize().
-    net.unicast(c_host, b_host,
-                Packet{Header{group, a_host, c_host}, PrimaryQueryBody{}});
-    sim.run_for(secs(1.0));
+    // c's rows have never been touched: they are built *now*, after the
+    // down transition -- and must still route like the finalize-time
+    // reference (c_host -> c_r -> b_r1 -> b_host, and into a_r1 for a).
+    unicast(c_host, b_host);
+    if (check) expect_unicast_follows(up, c_host, b_host, hops);
+    unicast(c_host, a_host);
+    if (check) expect_unicast_follows(up, c_host, a_host, hops, /*dies_at=*/a_r1);
+    if (check) expect_next_hops_match(net, up);
     send(a_host, 2);  // still into the blackhole
 
     net.finalize();  // reconverge
+    const RoutingReference down{net, {a_r1}};
+    if (check) expect_next_hops_match(net, down);
     send(a_host, 3);
-    net.unicast(c_host, b_host,
-                Packet{Header{group, a_host, c_host}, PrimaryQueryBody{}});
-    sim.run_for(secs(1.0));
+    unicast(c_host, a_host);
+    if (check) expect_unicast_follows(down, c_host, a_host, hops);
     return taps;
 }
 
 TEST(FinalizeModes, LazyRowsUseFinalizeTimeLivenessSnapshot) {
-    const auto serial = run_down_then_touch(SimFinalizeMode::kSerial, 65536);
-    const auto lazy = run_down_then_touch(SimFinalizeMode::kLazy, 65536);
-    ASSERT_EQ(serial.size(), lazy.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        ASSERT_TRUE(serial[i] == lazy[i]) << "trace diverges at event " << i;
+    (void)run_down_then_touch(65536, /*check=*/true);
 }
 
 TEST(FinalizeModes, PathCacheCapacityNeverChangesLazyOutcomes) {
-    const auto unbounded = run_down_then_touch(SimFinalizeMode::kLazy, 0);
-    const auto tiny = run_down_then_touch(SimFinalizeMode::kLazy, 1);
+    const auto unbounded = run_down_then_touch(0, /*check=*/false);
+    const auto tiny = run_down_then_touch(1, /*check=*/false);
     EXPECT_EQ(unbounded, tiny);
 }
 

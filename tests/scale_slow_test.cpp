@@ -22,7 +22,6 @@ TEST(ScaleSlow, MillionNodeFullProtocolSmoke) {
     ScenarioConfig config;
     config.topology.sites = 2000;
     config.topology.receivers_per_site = 499;
-    config.sim.finalize_mode = SimFinalizeMode::kLazy;
     config.sim.path_cache_capacity = 1u << 16;
     auto counter = std::make_shared<CountingObserver>();
     config.observer = counter;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "packet/packet.hpp"
 #include "sim/loss_model.hpp"
 #include "sim/observer.hpp"
@@ -148,17 +149,6 @@ TEST(WwwInvalidation, RendersAppendixATransLines) {
 
 // --- engine determinism on a live scenario ----------------------------------
 
-struct TraceHash {
-    std::uint64_t h = 14695981039346656037ULL;
-    void feed(const void* data, std::size_t n) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ULL;
-        }
-    }
-};
-
 struct RunOutput {
     std::uint64_t trace = 0;
     std::uint64_t deliveries = 0;
@@ -187,7 +177,7 @@ RunOutput run_scenario(bool use_engine, bool governed, std::uint64_t seed) {
     auto& counting = static_cast<CountingObserver&>(scenario.observer());
 
     RunOutput out;
-    TraceHash trace;
+    Fnv1a trace;
     scenario.network().set_tap([&trace](TimePoint at, const sim::Link& link,
                                         const Packet& packet, bool delivered) {
         const auto t = at.time_since_epoch().count();

@@ -445,8 +445,8 @@ TEST(BurstBatching, BatchingReducesHeapScheduling) {
 }
 
 TEST(BurstBatching, EnvEscapeHatchDisablesBatching) {
-    // LBRM_SIM_NO_BATCH is read at Network construction; the setter mirrors
-    // what the env hatch does, and the default is on.
+    // Batching is on by default; the setter (the only way to turn it off)
+    // selects the unbatched reference path.
     Simulator sim;
     Network net{sim, 1};
     EXPECT_TRUE(net.batching_enabled());
