@@ -14,10 +14,6 @@ namespace lbrm::sim {
 
 namespace {
 
-/// Offset basis of the per-record hash.  One digit short of the standard
-/// FNV-1a basis; kept so digests match those recorded before Fnv1a existed.
-constexpr std::uint64_t kRecordBasis = 1469598103934665603ull;
-
 std::uint64_t wall_ns_now() {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -78,7 +74,7 @@ ShardPlan ShardPlan::contiguous(std::size_t sites, std::uint32_t shards) {
 
 void TraceDigest::add(TimePoint at, const Link& link, const Packet& packet,
                       bool delivered) {
-    Fnv1a record{kRecordBasis};
+    Fnv1a record;
     record.feed_u64(static_cast<std::uint64_t>(at.time_since_epoch().count()));
     record.feed_u64(link.from().value());
     record.feed_u64(link.to().value());
