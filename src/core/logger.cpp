@@ -227,7 +227,7 @@ void LoggerCore::advance_contiguous() {
 
 void LoggerCore::serve_nack(TimePoint now, NodeId from, const NackBody& nack,
                             Actions& actions) {
-    ++nacks_received_;
+    ++nacks_in_;
     obs_->nacks_received->inc();
     LBRM_TRACE_SPAN("log_recover");
     for (SeqNum seq : nack.missing) serve_one(now, from, seq, actions);

@@ -52,7 +52,7 @@ public:
     [[nodiscard]] std::uint64_t nacks_served_multicast() const { return served_multicast_; }
     [[nodiscard]] std::uint64_t upstream_fetches() const { return upstream_fetches_; }
     [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
-    [[nodiscard]] std::uint64_t nacks_received() const { return nacks_received_; }
+    [[nodiscard]] std::uint64_t nacks_received() const { return nacks_in_; }
     /// Stream-gap detector (secondary role): exposes gap_overflows() etc.
     [[nodiscard]] const LossDetector& detector() const { return detector_; }
     [[nodiscard]] const LoggerConfig& config() const { return config_; }
@@ -145,7 +145,7 @@ private:
     std::uint64_t served_multicast_ = 0;
     std::uint64_t upstream_fetches_ = 0;
     std::uint64_t acks_sent_ = 0;
-    std::uint64_t nacks_received_ = 0;
+    std::uint64_t nacks_in_ = 0;
     const obs::LoggerMetrics* obs_ = &obs::LoggerMetrics::disabled();
     /// Upstream-fetch lifecycle tracer (obs/episode.hpp); hooks mirror
     /// fetch_pending_: open on insert, close on erase.

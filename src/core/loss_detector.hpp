@@ -10,6 +10,13 @@
 // missing once something later has been seen, and an out-of-order arrival
 // of a previously-missing number retracts it.
 //
+// State is O(missing): the highest sequence number proven transmitted plus
+// the set of numbers known missing.  There is no set of received numbers
+// and no receive window.  A data packet for a number at or below `highest_`
+// that is not missing is a duplicate, however old it is: the number was
+// received before, or given up on (before the stream position, cut off by
+// `max_gap`, or abandoned).
+//
 // Robustness: a single corrupted or far-future sequence number must not be
 // able to open an unbounded gap (naively, up to 2^31 - 1 missing entries
 // from one observation).  Gaps wider than `max_gap` are truncated to the
@@ -98,13 +105,6 @@ private:
     const obs::LossDetectorMetrics* obs_ = &obs::LossDetectorMetrics::disabled();
     /// missing seq -> time the gap was detected (WireOrder: see seqnum.hpp)
     std::map<SeqNum, TimePoint, SeqNum::WireOrder> missing_;
-    /// received data seqs within the reorder horizon (duplicate detection);
-    /// trimmed to a bounded window behind `highest_`.
-    std::map<SeqNum, bool, SeqNum::WireOrder> received_;
-
-    static constexpr std::int32_t kReceivedWindow = 4096;
-
-    void trim_received();
 };
 
 }  // namespace lbrm

@@ -15,7 +15,13 @@
 // Cancellation is O(1) and bounded: an event id encodes its slab slot plus
 // a per-slot generation counter.  Cancelling marks the slot; an id whose
 // generation no longer matches (the event already fired, or the slot was
-// recycled) is a no-op, so there is no ever-growing cancelled-id set.
+// recycled) is a no-op, so there is no ever-growing cancelled-id set.  A
+// cancelled entry stays in the heap as a tombstone until it reaches the
+// top.  The tombstones left in practice are real cancels and timers
+// re-armed to an EARLIER deadline: re-arming a timer later, the common
+// watchdog case, is deferred by SimHost without touching the queue
+// (sim_host.hpp), at the price of one no-op pop when the early entry
+// comes due.
 //
 // Recurring events (create_recurring / arm_recurring) keep their slot and
 // callback across firings, so a self-rescheduling consumer -- the per-link

@@ -20,7 +20,10 @@ SimHost::~SimHost() {
 void SimHost::grow_timers() {
     static_assert(std::is_trivially_copyable_v<TimerEnt>,
                   "pooled timer table relies on memcpy relocation");
-    const auto cap = static_cast<std::uint16_t>(timer_cap_ == 0 ? 2 : timer_cap_ * 2);
+    // Start at one entry: most armed hosts hold only their idle watchdog,
+    // and one entry fits the pool's 64-byte class.
+    static_assert(sizeof(TimerEnt) <= 64, "one timer entry must fit a 64-byte block");
+    const auto cap = static_cast<std::uint16_t>(timer_cap_ == 0 ? 1 : timer_cap_ * 2);
     auto* fresh =
         static_cast<TimerEnt*>(network_.timer_pool().alloc(cap * sizeof(TimerEnt)));
     if (timer_count_ > 0)
@@ -53,63 +56,77 @@ std::size_t SimHost::find_timer(std::uint32_t tag, TimerId id) const {
     return timer_count_;
 }
 
-void SimHost::erase_timer(std::uint32_t tag, TimerId id) {
-    const std::size_t i = find_timer(tag, id);
-    if (i == timer_count_) return;
+std::size_t SimHost::find_queued(std::uint64_t key) const {
+    for (std::size_t i = 0; i < timer_count_; ++i)
+        if (timers_[i].queued_key == key) return i;
+    return timer_count_;
+}
+
+void SimHost::erase_timer(std::size_t i) {
     timers_[i] = timers_[timer_count_ - 1];
     --timer_count_;
 }
 
+void SimHost::queue(TimerEnt& t) {
+    t.queued_at = t.deadline;
+    t.queued_key = t.key;
+    // [this, key] fits std::function's small buffer whatever the timer's
+    // tag and arg: those stay in the table.
+    t.event = simulator_.schedule_at_key(t.deadline, t.key,
+                                         [this, key = t.key] { on_queued(key); });
+}
+
 void SimHost::arm(std::uint32_t core_tag, TimerId id, TimePoint deadline) {
-    // Re-arm in place: cancel the old event first, then schedule -- the
-    // same Simulator call order the previous map-based table used, so event
-    // ids (and hence tiebreak order) are unchanged.
+    // Take the tiebreak (actor key in actor-keyed mode) an eager
+    // schedule_at() would take here, and clamp the way it clamps, so the
+    // timer's position is the eager path's whether or not anything is
+    // pushed now.
+    const std::uint64_t key = simulator_.reserve_tiebreak();
+    if (deadline < simulator_.now()) deadline = simulator_.now();
     const std::size_t i = find_timer(core_tag, id);
     if (i != timer_count_) {
-        simulator_.cancel(timers_[i].event);
-        timers_[i] = timers_[timer_count_ - 1];
-        --timer_count_;
-    }
-    // Pack the closure into std::function's 16-byte small buffer when the
-    // timer fits: [this (8) | arg32 (4) | tag24|kind8 (4)].  The naive
-    // [this, core_tag, id] capture is 28 bytes and heap-allocates -- at
-    // 10M armed idle watchdogs that is one malloc per host.  Every shipped
-    // timer has arg < 2^32 (sequence numbers) and tag < 2^24, but the fat
-    // fallback keeps exotic values correct.  The closure's shape cannot
-    // affect simulation order: same schedule call, same deadline.
-    std::uint64_t event;
-    if (id.arg <= 0xFFFFFFFFull && core_tag < (1u << 24)) {
-        const auto arg32 = static_cast<std::uint32_t>(id.arg);
-        const std::uint32_t tk =
-            (core_tag << 8) | static_cast<std::uint32_t>(id.kind);
-        event = simulator_.schedule_at(deadline, [this, arg32, tk] {
-            const std::uint32_t tag = tk >> 8;
-            const TimerId tid{static_cast<TimerKind>(tk & 0xFFu), arg32};
-            erase_timer(tag, tid);
-            // The firing host is the actor for whatever the handler
-            // schedules (actor-keyed mode; int save/restore otherwise).
-            Simulator::ActorScope scope(
-                simulator_, static_cast<std::uint32_t>(self_.value() - 1));
-            protocol_.on_timer(simulator_.now(), tag, tid);
-        });
-    } else {
-        event = simulator_.schedule_at(deadline, [this, core_tag, id] {
-            erase_timer(core_tag, id);
-            Simulator::ActorScope scope(
-                simulator_, static_cast<std::uint32_t>(self_.value() - 1));
-            protocol_.on_timer(simulator_.now(), core_tag, id);
-        });
+        TimerEnt& t = timers_[i];
+        t.deadline = deadline;
+        t.key = key;
+        // The queued entry pops no later than the new position: leave it
+        // there, and on_queued() moves it on when it pops.
+        if (t.queued_at < deadline || (t.queued_at == deadline && t.queued_key < key)) return;
+        // Re-armed earlier: the queued entry would fire late.  Drop it (a
+        // tombstone, exactly as the eager path leaves) and queue anew.
+        simulator_.cancel(t.event);
+        queue(t);
+        return;
     }
     if (timer_count_ == timer_cap_) grow_timers();
-    timers_[timer_count_++] = TimerEnt{core_tag, id, event};
+    TimerEnt& t = timers_[timer_count_++];
+    t = TimerEnt{core_tag, id, deadline, key, {}, 0, 0};
+    queue(t);
+}
+
+void SimHost::on_queued(std::uint64_t queued_key) {
+    const std::size_t i = find_queued(queued_key);
+    if (i == timer_count_) return;  // unreachable: replaced entries are cancelled
+    TimerEnt& t = timers_[i];
+    if (t.key != queued_key) {
+        // Re-armed later while queued: move to the recorded position.  The
+        // key was reserved at arm time, so nothing is consumed here.
+        queue(t);
+        return;
+    }
+    const std::uint32_t tag = t.tag;
+    const TimerId tid = t.id;
+    erase_timer(i);
+    // The firing host is the actor for whatever the handler schedules
+    // (actor-keyed mode; int save/restore otherwise).
+    Simulator::ActorScope scope(simulator_, static_cast<std::uint32_t>(self_.value() - 1));
+    protocol_.on_timer(simulator_.now(), tag, tid);
 }
 
 void SimHost::cancel(std::uint32_t core_tag, TimerId id) {
     const std::size_t i = find_timer(core_tag, id);
     if (i == timer_count_) return;
     simulator_.cancel(timers_[i].event);
-    timers_[i] = timers_[timer_count_ - 1];
-    --timer_count_;
+    erase_timer(i);
 }
 
 }  // namespace lbrm::sim

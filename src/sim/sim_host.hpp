@@ -11,6 +11,17 @@
 // scenarios never arm a timer (watchdogs are deferred until first
 // traffic), and the handle undercuts even an empty std::vector while the
 // pool recycles the blocks of hosts that do arm.
+//
+// Re-arms are deferred in place (DESIGN.md "Deferred timer re-arm").  A
+// receiver's MaxIT watchdog is pushed back by every packet it hears; an
+// eager re-arm would cancel the queued event (leaving a heap tombstone)
+// and schedule a fresh closure each time.  Instead every arm reserves the
+// tiebreak an eager schedule would have taken and records the (deadline,
+// key) pair in the table.  While the timer's queued heap entry fires no
+// later than that pair, arm() touches neither the heap nor a closure; when
+// the queued entry pops early it re-queues itself at exactly the recorded
+// position.  Real firings therefore pop in the same order as on the eager
+// path, and the simulation is bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -49,15 +60,28 @@ public:
     void cancel(std::uint32_t core_tag, TimerId id) override;
 
 private:
-    /// One armed timer: (core tag, timer id) -> event-queue id.
+    /// One armed timer.  (deadline, key) is where the timer must fire: the
+    /// position the latest arm() reserved.  (queued_at, queued_key) is the
+    /// heap entry actually in the event queue, which may fire earlier; it
+    /// then re-queues itself at (deadline, key).  Queued keys are unique
+    /// across the simulator, so a firing closure finds its entry by key.
     struct TimerEnt {
         std::uint32_t tag;
         TimerId id;
-        std::uint64_t event;
+        TimePoint deadline;
+        std::uint64_t key;
+        TimePoint queued_at;
+        std::uint64_t queued_key;
+        std::uint64_t event;  ///< event-queue id of the queued entry
     };
     [[nodiscard]] std::size_t find_timer(std::uint32_t tag, TimerId id) const;
-    void erase_timer(std::uint32_t tag, TimerId id);
+    [[nodiscard]] std::size_t find_queued(std::uint64_t key) const;
+    void erase_timer(std::size_t i);
     void grow_timers();
+    /// Put `t`'s heap entry at its recorded (deadline, key).
+    void queue(TimerEnt& t);
+    /// Heap entry with key `queued_key` popped: re-queue or fire.
+    void on_queued(std::uint64_t queued_key);
 
     Network& network_;
     Simulator& simulator_;

@@ -67,8 +67,11 @@ public:
         return queue_.schedule(at, std::move(fn));
     }
 
-    /// Schedule with an explicit key reserved elsewhere -- the cross-shard
-    /// injection path (Network::inject_remote).  Pre: actor-keyed mode.
+    /// Schedule with an explicit key from reserve_tiebreak() -- the
+    /// cross-shard injection path (Network::inject_remote, actor-keyed
+    /// mode) and SimHost's deferred timer re-arm (either mode): the event
+    /// lands exactly where a schedule_at() at the reservation point would
+    /// have put it.
     std::uint64_t schedule_at_key(TimePoint at, std::uint64_t key,
                                   EventQueue::Callback fn) {
         if (at < now_) at = now_;

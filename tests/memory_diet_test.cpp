@@ -15,8 +15,8 @@
 //  - Shared-cable split: the reverse direction of a one-way loaded cable
 //    keeps zero stats without cold state; Cable::respec() loss resets feed
 //    the network.respec_loss_resets counter.
-//  - SimHost timer packing: oversized timer args survive the fat-closure
-//    fallback intact.
+//  - SimHost timer table: a 64-bit timer arg survives arm and fire intact
+//    (the table keeps it; the queued closure captures only a key).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -311,14 +311,14 @@ TEST(CableRespec, LossModelResetsFeedTheCounter) {
     EXPECT_EQ(net.metrics().value("network.respec_loss_resets"), 3u);
 }
 
-// --- SimHost timer-closure packing ----------------------------------------
+// --- SimHost timer table ---------------------------------------------------
 
 struct BigArgCore final : CoreBase {
     TimerId fired{};
     int fires = 0;
     Actions start(TimePoint now) override {
         Actions actions;
-        // arg does not fit in 32 bits: must take the fat-closure fallback.
+        // arg does not fit in 32 bits: the table must keep all 64.
         actions.push_back(
             StartTimer{{TimerKind::kIdle, std::uint64_t{1} << 40}, now + millis(10)});
         return actions;
@@ -331,7 +331,7 @@ struct BigArgCore final : CoreBase {
     }
 };
 
-TEST(TimerPacking, OversizedArgSurvivesFatPath) {
+TEST(TimerTable, OversizedArgSurvives) {
     Simulator simulator;
     Network net{simulator, 1};
     const NodeId node = net.add_node(SiteId{1});
